@@ -1,0 +1,19 @@
+//! Small order statistics over host timings.
+
+/// The `q`-quantile of `values` by linear interpolation between order
+/// statistics; 0 for an empty slice.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
