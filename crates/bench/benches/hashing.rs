@@ -1,9 +1,8 @@
-//! Micro-benchmarks for the hashing primitives: SHA-1, the rolling
-//! Karp–Rabin window, and value-sampled page fingerprints — the
-//! per-page costs of the dedup op's identification phase.
+//! Micro-benchmarks for the hashing primitives: SHA-1 and value-sampled
+//! page fingerprints — the per-page costs of the dedup op's
+//! identification phase.
 
 use medes_bench::harness::{BenchmarkId, Criterion, Throughput};
-use medes_hash::rabin::{scan_windows, RollingHash};
 use medes_hash::sample::{
     page_fingerprint, page_fingerprint_scalar, pages_fingerprints, FingerprintConfig,
 };
@@ -33,21 +32,6 @@ fn bench_sha1(c: &mut Criterion) {
 fn bench_chunk_hash(c: &mut Criterion) {
     let p = page(2);
     c.bench_function("chunk_hash_64B", |b| b.iter(|| chunk_hash(&p[..64])));
-}
-
-fn bench_rolling_scan(c: &mut Criterion) {
-    let p = page(3);
-    let mut g = c.benchmark_group("rabin");
-    g.throughput(Throughput::Bytes(p.len() as u64));
-    g.bench_function("scan_page_64B_window", |b| {
-        b.iter(|| {
-            scan_windows(&p, 64)
-                .map(|(_, h)| h)
-                .fold(0u64, |a, h| a ^ h)
-        })
-    });
-    g.bench_function("hash_of_64B", |b| b.iter(|| RollingHash::hash_of(&p[..64])));
-    g.finish();
 }
 
 fn bench_fingerprint(c: &mut Criterion) {
@@ -87,7 +71,6 @@ medes_bench::bench_group!(
     benches,
     bench_sha1,
     bench_chunk_hash,
-    bench_rolling_scan,
     bench_fingerprint,
     bench_fingerprint_batch
 );

@@ -341,10 +341,28 @@ impl Cluster {
     // Memory accounting.
     // ------------------------------------------------------------------
 
+    /// Adds `delta` bytes to `node`'s and the cluster's resident
+    /// memory. Panics when either would leave `0..=usize::MAX`: that is
+    /// an accounting bug (a release without its charge), never a state
+    /// the simulation may continue from.
     fn charge(&mut self, now: SimTime, node: NodeId, delta: i64) {
+        let delta = delta as isize;
         let n = &mut self.nodes[node.0];
-        n.mem_used = (n.mem_used as i64 + delta) as usize;
-        self.cluster_mem = (self.cluster_mem as i64 + delta) as usize;
+        n.mem_used = n.mem_used.checked_add_signed(delta).unwrap_or_else(|| {
+            panic!(
+                "node {} mem_used {} + {delta} out of range",
+                node.0, n.mem_used
+            )
+        });
+        self.cluster_mem = self
+            .cluster_mem
+            .checked_add_signed(delta)
+            .unwrap_or_else(|| {
+                panic!(
+                    "node {}: cluster_mem {} + {delta} out of range",
+                    node.0, self.cluster_mem
+                )
+            });
         self.metrics.mem_update(now, self.cluster_mem as f64);
     }
 
@@ -601,11 +619,11 @@ impl Cluster {
             0,
             "crash purge must drop every registry chunk on the dead node"
         );
-        // Shard ownership survives the crash: a distributed backend
+        // Shard ownership survives the crash: a distributed registry
         // purges the dead owner's shard copies, re-demarcates them to
         // survivors, and re-replicates the recoverable entries (their
         // bases live on surviving nodes — the dead node's bases were
-        // just purged above). In-process backends own nothing here.
+        // just purged above). An in-process registry owns nothing here.
         let recovery = self.registry.on_node_crash(NodeId(node));
         debug_assert_eq!(
             self.registry.entries_owned_by(NodeId(node)),
@@ -998,6 +1016,28 @@ impl Cluster {
     // Medes: dedup decision at idle-period expiry.
     // ------------------------------------------------------------------
 
+    /// Returns a sandbox whose dedup did not commit to the warm pool:
+    /// `Warm` with `last_used = now`, a fresh keep-alive expiry, and
+    /// another idle check if one still fits inside the horizon.
+    fn rewarm(&mut self, now: SimTime, id: SandboxId, sched: &mut Scheduler<Ev>) {
+        let (idle_period, keep_alive) = {
+            let m = self.medes.as_ref().expect("dedup requires Medes policy");
+            (m.idle_period, m.keep_alive)
+        };
+        let sb = self.sandboxes.get_mut(&id).expect("exists");
+        sb.transition(SandboxState::Warm);
+        sb.last_used = now;
+        let (epoch, f) = (sb.epoch, sb.func.0);
+        self.fns[f].idle_warm.insert((now, id));
+        sched.after(
+            self.keep_alive_window(f),
+            Ev::KeepAliveExpire { sb: id, epoch },
+        );
+        if now + idle_period <= self.horizon + keep_alive {
+            sched.after(idle_period, Ev::IdleCheck { sb: id, epoch });
+        }
+    }
+
     /// Trace-root key for one dedup op: a deterministic mix of the
     /// sandbox id and the initiation instant (a sandbox can dedup more
     /// than once, so the id alone would merge distinct ops' traces).
@@ -1105,18 +1145,7 @@ impl Cluster {
                 // after another idle period.
                 debug_assert!(!self.cfg.faults.is_empty());
                 self.obs.incr("medes.platform.dedup_aborts");
-                let sb = self.sandboxes.get_mut(&id).expect("exists");
-                sb.transition(SandboxState::Warm);
-                sb.last_used = now;
-                let epoch = sb.epoch;
-                self.fns[f].idle_warm.insert((now, id));
-                sched.after(
-                    self.keep_alive_window(f),
-                    Ev::KeepAliveExpire { sb: id, epoch },
-                );
-                if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                    sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
-                }
+                self.rewarm(now, id, sched);
                 return;
             }
         };
@@ -1158,12 +1187,9 @@ impl Cluster {
     fn dedup_flush(&mut self, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         self.flush_armed = false;
-        if self.pending_dedups.is_empty() {
+        if self.pending_dedups.is_empty() || self.medes.is_none() {
             return;
         }
-        let Some(medes) = self.medes.clone() else {
-            return;
-        };
         let pending = std::mem::take(&mut self.pending_dedups);
         struct BatchItem {
             id: SandboxId,
@@ -1290,18 +1316,7 @@ impl Cluster {
                     // sandbox warm and reconsider after an idle period.
                     debug_assert!(!self.cfg.faults.is_empty());
                     self.obs.incr("medes.platform.dedup_aborts");
-                    let sb = self.sandboxes.get_mut(&item.id).expect("exists");
-                    sb.transition(SandboxState::Warm);
-                    sb.last_used = now;
-                    let epoch = sb.epoch;
-                    self.fns[f].idle_warm.insert((now, item.id));
-                    sched.after(
-                        self.keep_alive_window(f),
-                        Ev::KeepAliveExpire { sb: item.id, epoch },
-                    );
-                    if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                        sched.after(medes.idle_period, Ev::IdleCheck { sb: item.id, epoch });
-                    }
+                    self.rewarm(now, item.id, sched);
                 }
             }
         }
@@ -1348,19 +1363,7 @@ impl Cluster {
             // Not worth it: return to warm; release the base pins taken
             // at dedup initiation.
             self.release_base_refs(&outcome.table);
-            let sb = self.sandboxes.get_mut(&id).expect("exists");
-            sb.transition(SandboxState::Warm);
-            sb.last_used = now;
-            let (lu, eid, fid) = (sb.last_used, sb.id, sb.func.0);
-            self.fns[fid].idle_warm.insert((lu, eid));
-            let epoch = self.sandboxes[&id].epoch;
-            sched.after(
-                self.keep_alive_window(f),
-                Ev::KeepAliveExpire { sb: id, epoch },
-            );
-            if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
-            }
+            self.rewarm(now, id, sched);
             return;
         }
 
@@ -1484,7 +1487,7 @@ impl World for Cluster {
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         // Fault windows are evaluated at the fabric's current instant;
-        // the registry backend prices its RPCs at the same instant.
+        // the registry prices its RPCs at the same instant.
         self.fabric.set_now(now);
         self.registry.set_now(now);
         match event {
@@ -2161,5 +2164,16 @@ mod tests {
         cfg.node_mem_profile = vec![cfg.node_mem_bytes; cfg.nodes];
         let explicit = Platform::new(cfg, suite).run(&trace).report;
         assert_eq!(base, explicit);
+    }
+
+    /// Releasing more memory than a node holds is an accounting bug:
+    /// `charge` must panic instead of wrapping to a huge `mem_used`.
+    #[test]
+    #[should_panic(expected = "node 1 mem_used 4096 + -8192 out of range")]
+    fn charge_panics_on_underflow() {
+        let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(1).collect();
+        let mut cluster = Cluster::new(PlatformConfig::small_test(), suite, SimTime::ZERO);
+        cluster.charge(SimTime::ZERO, NodeId(1), 4096);
+        cluster.charge(SimTime::ZERO, NodeId(1), -8192);
     }
 }

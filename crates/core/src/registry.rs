@@ -1,5 +1,4 @@
-//! The global fingerprint registry (§3.1, §4.1.3), behind the
-//! [`RegistryBackend`] trait.
+//! The global fingerprint registry (§3.1, §4.1.3).
 //!
 //! A hash table mapping RSC (64 B chunk) hashes to their locations in
 //! the cluster. Only **base sandboxes** populate the registry — that is
@@ -10,19 +9,21 @@
 //! candidate base page, how many of the sampled chunks it shares — the
 //! vote count used for base-page election.
 //!
-//! ## The backend seam
+//! ## One registry, optional shard ownership
 //!
-//! The platform consumes the registry exclusively through the thin
-//! [`RegistryClient`] facade over a [`RegistryBackend`]:
+//! [`RegistryClient`] is the registry. It always holds the whole
+//! sharded store; the placement only decides whether shards are also
+//! *owned* by worker nodes:
 //!
-//! * [`InProcessRegistry`] — the controller-resident sharded store
-//!   (the concrete `FingerprintRegistry` of earlier revisions);
-//! * [`DistributedRegistry`] — the same logical contents, but shards
-//!   are *owned* by worker nodes (chunk-hash ownership) and every
-//!   lookup/insert/removal is routed to its owner as a priced
-//!   `medes-net` RPC. Candidate results are byte-identical to the
-//!   in-process backend at any placement; only the accounted RPC
-//!   traffic differs.
+//! * [`RegistryClient::in_process`] — controller-resident, no
+//!   ownership: no RPCs are priced and the crash/restart hooks are
+//!   no-ops;
+//! * [`RegistryClient::distributed`] — every shard is owned by a worker
+//!   node (chunk-hash ownership) and every lookup/insert/removal is
+//!   routed to its owner as a priced `medes-net` RPC. Ownership decides
+//!   where the RPCs go, never what is stored, so candidate results are
+//!   byte-identical at any placement; only the accounted RPC traffic
+//!   differs.
 //!
 //! ## Sharding
 //!
@@ -31,24 +32,24 @@
 //! every chunk hash has exactly one home shard, the per-hash location
 //! cap, vote accumulation, and removal semantics are identical at any
 //! shard count — a single-shard registry is bit-for-bit the legacy
-//! structure. Reads ([`InProcessRegistry::lookup`],
-//! [`InProcessRegistry::lookup_batch`]) take `&self` and shard read
+//! structure. Reads ([`RegistryClient::lookup`],
+//! [`RegistryClient::lookup_batch`]) take `&self` and shard read
 //! locks, so the parallel dedup pipeline's worker pool can probe the
-//! registry concurrently; writes ([`InProcessRegistry::insert_page`],
-//! [`InProcessRegistry::remove_sandbox`]) route each chunk through
+//! registry concurrently; writes ([`RegistryClient::insert_page`],
+//! [`RegistryClient::remove_sandbox`]) route each chunk through
 //! its home shard's write lock. Global counters are atomics.
 //!
 //! ## Crash-surviving shard ownership
 //!
 //! When a worker node crashes, the platform purges the dead node's
 //! base sandboxes (removing every chunk location pointing at it) and
-//! then calls [`RegistryClient::on_node_crash`]: the distributed
-//! backend drops the dead owner's physical shard copies, re-demarcates
+//! then calls [`RegistryClient::on_node_crash`]: a distributed
+//! registry drops the dead owner's physical shard copies, re-demarcates
 //! their ownership onto surviving nodes, and re-replicates the
 //! recoverable entries (those whose backing base sandboxes survived)
 //! onto the new owners, charging the bulk transfer as registry RPCs.
 //! The net effect preserves logical contents — which is exactly why a
-//! crash run's `RunReport` stays bit-identical across backends — and
+//! crash run's `RunReport` stays bit-identical across placements — and
 //! no shard is ever owned by a down node.
 
 use crate::ids::{NodeId, SandboxId};
@@ -79,84 +80,6 @@ pub struct CrashRecovery {
     pub rereplicated_entries: usize,
     /// Shards whose ownership was re-demarcated.
     pub reassigned_shards: usize,
-}
-
-/// The registry API every backend implements and the platform consumes
-/// through [`RegistryClient`].
-///
-/// Methods take `&self`: lookups run concurrently on the dedup
-/// pipeline's worker threads, so every implementation keeps its
-/// mutable state behind locks/atomics.
-pub trait RegistryBackend: std::fmt::Debug + Send + Sync {
-    /// Inserts all fingerprint chunks of one base-sandbox page.
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc);
-    /// Looks up one page fingerprint (candidates in descending-vote
-    /// total order).
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate>;
-    /// Looks up a batch of fingerprints; identical per-fingerprint
-    /// results to [`RegistryBackend::lookup`].
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>>;
-    /// Removes every entry contributed by a base sandbox.
-    fn remove_sandbox(&self, sandbox: SandboxId);
-
-    /// Live (hash, location) entry count.
-    fn entries(&self) -> usize;
-    /// High-water mark of entries over the registry's lifetime.
-    fn peak_entries(&self) -> usize;
-    /// Total lookups served.
-    fn lookups(&self) -> u64;
-    /// Approximate resident bytes.
-    fn mem_bytes(&self) -> usize;
-    /// High-water mark of resident bytes.
-    fn peak_mem_bytes(&self) -> usize;
-    /// Number of shards.
-    fn shard_count(&self) -> usize;
-    /// Live entry count per shard.
-    fn shard_entries(&self) -> Vec<usize>;
-    /// Chunk probes served per shard.
-    fn shard_lookup_counts(&self) -> Vec<u64>;
-    /// Distinct base sandboxes currently contributing entries.
-    fn base_sandboxes(&self) -> usize;
-    /// Whether the registry still tracks this sandbox.
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool;
-    /// Chunk locations pointing at `node` (crash-purge hygiene).
-    fn locs_on_node(&self, node: NodeId) -> usize;
-    /// Structural self-check (shard disjointness, counter drift).
-    fn check_invariants(&self) -> Result<(), String>;
-
-    /// Mirrors the simulated clock into the backend (used to price
-    /// RPCs at the current instant). No-op for in-process backends.
-    fn set_now(&self, _now: SimTime) {}
-    /// Notifies the backend that `node` crashed, *after* the platform
-    /// purged the node's base sandboxes. Distributed backends purge
-    /// the dead owner's shard copies, re-demarcate ownership, and
-    /// re-replicate surviving entries.
-    fn on_node_crash(&self, _node: NodeId) -> CrashRecovery {
-        CrashRecovery::default()
-    }
-    /// Notifies the backend that `node` restarted. Restarted nodes
-    /// rejoin the owner candidate set for future re-demarcations but
-    /// do not reclaim shards (no proactive rebalancing).
-    fn on_node_restart(&self, _node: NodeId) {}
-    /// Entries resident in shards owned by `node`. In-process backends
-    /// own nothing on worker nodes and report 0.
-    fn entries_owned_by(&self, _node: NodeId) -> usize {
-        0
-    }
-    /// Cumulative registry RPC traffic (zero for in-process backends).
-    fn rpc_stats(&self) -> FabricStats {
-        FabricStats::default()
-    }
-    /// Total simulated time spent in registry RPCs. Accounted off the
-    /// report-visible path: dedup runs off the critical path, so the
-    /// latency is an overhead figure, not a scheduling input.
-    fn rpc_time(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    /// Cumulative entries re-replicated by crash recoveries.
-    fn rereplicated_entries(&self) -> u64 {
-        0
-    }
 }
 
 /// Where one RSC lives.
@@ -224,9 +147,82 @@ struct ShardMetricNames {
     lookups: &'static str,
 }
 
-/// The global fingerprint registry, sharded by chunk hash.
+/// Shard ownership of a distributed registry: every shard is *owned*
+/// by a worker node and all traffic to it is routed over the fabric as
+/// priced RPCs.
+///
+/// ## Placement
+///
+/// Shard `s` is initially owned by node `s % owners` (the first
+/// `owners` nodes of the cluster form the owner set). A chunk hash
+/// homes in shard `hash % nshards` whether or not shards are owned, so
+/// candidate election — and therefore the whole `RunReport` — is
+/// bit-identical at any placement; the placement only decides *where*
+/// the RPCs go.
+///
+/// ## RPC cost model
+///
+/// The dedup controller (node 0) issues one RPC per touched shard per
+/// operation: lookups carry `PROBE_BYTES` per chunk probe out and a
+/// response sized to the probe count (candidate lists are capped, see
+/// `MAX_LOCS_PER_HASH`), inserts carry the probe bytes plus one
+/// serialized entry, removals broadcast the sandbox id to every owner.
+/// Costs are priced by the same [`NetConfig`] the platform fabric
+/// uses, on a registry-private fabric, so the traffic lands in the
+/// registry's [`FabricStats`] without perturbing the event stream the
+/// reports are computed from — dedup is off the critical path, and the
+/// accounted latency is an overhead figure (§7.7), not a scheduling
+/// input.
 #[derive(Debug)]
-pub struct InProcessRegistry {
+struct Ownership {
+    /// Shard index → owning node index.
+    owner_map: RwLock<Vec<usize>>,
+    /// Node index → alive? (crashed owners never receive shards).
+    alive: RwLock<Vec<bool>>,
+    /// Registry-private fabric: prices RPCs with the platform's cost
+    /// model but keeps its own stats, so report-visible fabric
+    /// counters stay byte-identical to the in-process placement.
+    fabric: Mutex<Fabric>,
+    retry: RetryPolicy,
+    rpc_time_us: AtomicU64,
+    rereplicated: AtomicU64,
+}
+
+/// The node hosting the dedup controller, origin of registry RPCs.
+const CONTROLLER_NODE: usize = 0;
+
+impl Ownership {
+    /// Issues (and accounts) one registry RPC to a shard owner. The
+    /// clean registry fabric never fails, so the retry machinery is a
+    /// straight pass-through; the result feeds the overhead totals.
+    fn owner_rpc(&self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
+        let mut fabric = self.fabric.lock().unwrap();
+        match fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry) {
+            Ok(out) => {
+                self.rpc_time_us
+                    .fetch_add(out.time.as_micros(), Ordering::Relaxed);
+            }
+            Err(_) => {
+                // Unreachable owner: ownership is re-demarcated at
+                // crash time, so this only fires if a fault schedule
+                // was installed directly on the registry fabric (unit
+                // tests). The op still completes against the logical
+                // store; the failure stays in the stats.
+            }
+        }
+    }
+}
+
+/// The global fingerprint registry, sharded by chunk hash, with
+/// optional shard ownership on worker nodes. Constructed per run from
+/// the platform config; cheap to share across the dedup pipeline's
+/// worker threads by reference.
+///
+/// Methods take `&self`: lookups run concurrently on the dedup
+/// pipeline's worker threads, so all mutable state sits behind
+/// locks/atomics.
+#[derive(Debug)]
+pub struct RegistryClient {
     shards: Vec<RwLock<Shard>>,
     /// Per-shard probe counters (a lookup probes each chunk's home
     /// shard); atomics because lookups run under read locks.
@@ -236,36 +232,26 @@ pub struct InProcessRegistry {
     lookups: AtomicU64,
     obs: Arc<Obs>,
     metric_names: Vec<ShardMetricNames>,
+    /// `None` for the in-process placement.
+    ownership: Option<Ownership>,
 }
 
-impl Default for InProcessRegistry {
+impl Default for RegistryClient {
     fn default() -> Self {
-        Self::with_obs(Obs::disabled())
+        Self::new()
     }
 }
 
-impl InProcessRegistry {
-    /// Creates an empty single-shard registry (observability disabled).
+impl RegistryClient {
+    /// A single-shard in-process registry with observability disabled.
     pub fn new() -> Self {
-        Self::default()
+        Self::in_process(1, Obs::disabled())
     }
 
-    /// Creates an empty single-shard registry recording
-    /// `medes.registry.*` metrics.
-    pub fn with_obs(obs: Arc<Obs>) -> Self {
-        Self::with_shards_obs(1, obs)
-    }
-
-    /// Creates an empty registry with `shards` independent shards
-    /// (observability disabled). `shards` is clamped to at least 1.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_obs(shards, Obs::disabled())
-    }
-
-    /// Creates an empty registry with `shards` independent shards,
+    /// A controller-resident registry with `shards` independent shards,
     /// recording `medes.registry.*` metrics (including per-shard entry
     /// gauges and lookup counters). `shards` is clamped to at least 1.
-    pub fn with_shards_obs(shards: usize, obs: Arc<Obs>) -> Self {
+    pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
         let n = shards.max(1);
         let metric_names = if obs.enabled() {
             (0..n)
@@ -277,7 +263,7 @@ impl InProcessRegistry {
         } else {
             Vec::new()
         };
-        InProcessRegistry {
+        RegistryClient {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             shard_lookups: (0..n).map(|_| AtomicU64::new(0)).collect(),
             entries: AtomicUsize::new(0),
@@ -285,7 +271,33 @@ impl InProcessRegistry {
             lookups: AtomicU64::new(0),
             obs,
             metric_names,
+            ownership: None,
         }
+    }
+
+    /// A distributed registry with `shards` shards owned by the first
+    /// `owners` of `nodes` worker nodes. `owners` is clamped to
+    /// `1..=nodes`.
+    pub fn distributed(
+        shards: usize,
+        owners: usize,
+        nodes: usize,
+        net: NetConfig,
+        retry: RetryPolicy,
+        obs: Arc<Obs>,
+    ) -> Self {
+        assert!(nodes > 0, "distributed registry needs at least one node");
+        let owners = owners.clamp(1, nodes);
+        let mut reg = Self::in_process(shards, Arc::clone(&obs));
+        reg.ownership = Some(Ownership {
+            owner_map: RwLock::new((0..reg.shards.len()).map(|s| s % owners).collect()),
+            alive: RwLock::new(vec![true; nodes]),
+            fabric: Mutex::new(Fabric::with_obs(nodes, net, obs)),
+            retry,
+            rpc_time_us: AtomicU64::new(0),
+            rereplicated: AtomicU64::new(0),
+        });
+        reg
     }
 
     /// Number of shards.
@@ -300,9 +312,36 @@ impl InProcessRegistry {
         (hash % self.shards.len() as u64) as usize
     }
 
+    /// Charges one `op` RPC to the owner of each shard the fingerprints
+    /// touch, sized by that shard's chunk-probe count — the same
+    /// grouping as the store's lock fan-out. No-op without ownership.
+    fn charge_shards(&self, fps: &[PageFingerprint], op: RegistryOp) {
+        let Some(own) = &self.ownership else {
+            return;
+        };
+        let mut probes = vec![0usize; self.shards.len()];
+        for fp in fps {
+            for chunk in fp.chunks() {
+                probes[self.shard_of(chunk.hash)] += 1;
+            }
+        }
+        let owners = own.owner_map.read().unwrap();
+        for (s, n) in probes.into_iter().enumerate().filter(|&(_, n)| n > 0) {
+            let (req, resp) = match op {
+                RegistryOp::Insert => (
+                    n * PROBE_BYTES + std::mem::size_of::<ChunkLoc>(),
+                    PROBE_BYTES,
+                ),
+                _ => (n * PROBE_BYTES, n * CANDIDATE_BYTES),
+            };
+            own.owner_rpc(owners[s], op, req, resp);
+        }
+    }
+
     /// Inserts all fingerprint chunks of one base-sandbox page, each
     /// routed through its home shard's write lock.
     pub fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
+        self.charge_shards(std::slice::from_ref(fp), RegistryOp::Insert);
         let nshards = self.shards.len();
         let mut inserted_total = 0usize;
         // Anchor the sandbox in shard 0's reverse index even when no
@@ -399,6 +438,7 @@ impl InProcessRegistry {
     /// pipeline's worker threads, guarded by shard read locks, with
     /// the lookup counter kept in an atomic.
     pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
+        self.charge_shards(std::slice::from_ref(fp), RegistryOp::Lookup);
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut votes: HashMap<ChunkLoc, u32> = HashMap::new();
         self.accumulate_votes(fp, &mut votes);
@@ -414,8 +454,9 @@ impl InProcessRegistry {
     /// Looks up a batch of page fingerprints, grouping the chunk probes
     /// by home shard so each shard's read lock is taken at most once
     /// per batch. Returns one candidate list per input fingerprint,
-    /// identical to calling [`InProcessRegistry::lookup`] on each.
+    /// identical to calling [`RegistryClient::lookup`] on each.
     pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
+        self.charge_shards(fps, RegistryOp::Lookup);
         self.lookups.fetch_add(fps.len() as u64, Ordering::Relaxed);
         let nshards = self.shards.len();
         // probes[s] = (fingerprint index, chunk hash) pairs homed in s.
@@ -459,6 +500,18 @@ impl InProcessRegistry {
     /// Removes every entry contributed by a base sandbox, shard by
     /// shard through the shard-local write locks.
     pub fn remove_sandbox(&self, sandbox: SandboxId) {
+        if let Some(own) = &self.ownership {
+            // Removal is a broadcast: a sandbox's chunk hashes span
+            // shards, and the reverse index lives with each owner.
+            if self.contains_sandbox(sandbox) {
+                let mut distinct = own.owner_map.read().unwrap().clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                for owner in distinct {
+                    own.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
+                }
+            }
+        }
         let mut removed_total = 0usize;
         let mut known = false;
         for (s, lock) in self.shards.iter().enumerate() {
@@ -580,8 +633,9 @@ impl InProcessRegistry {
 
     /// Checks that every shard's `table` and `by_sandbox` are mutually
     /// consistent, that each chunk hash lives in (only) its home shard
-    /// — cross-shard disjointness — and that the global entry counter
-    /// matches the per-shard sums.
+    /// — cross-shard disjointness — that the global entry counter
+    /// matches the per-shard sums, and that no shard is owned by a dead
+    /// or out-of-range node.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut total = 0usize;
         for (s, lock) in self.shards.iter().enumerate() {
@@ -640,299 +694,16 @@ impl InProcessRegistry {
                 self.entries()
             ));
         }
-        Ok(())
-    }
-
-    /// All (hash, location) pairs, for test assertions.
-    #[cfg(test)]
-    fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
-        let mut out = Vec::new();
-        for lock in &self.shards {
-            let shard = lock.read().unwrap();
-            for (&h, locs) in &shard.table {
-                out.extend(locs.iter().map(|&l| (h, l)));
-            }
-        }
-        out
-    }
-}
-
-impl RegistryBackend for InProcessRegistry {
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        InProcessRegistry::insert_page(self, fp, loc);
-    }
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        InProcessRegistry::lookup(self, fp)
-    }
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        InProcessRegistry::lookup_batch(self, fps)
-    }
-    fn remove_sandbox(&self, sandbox: SandboxId) {
-        InProcessRegistry::remove_sandbox(self, sandbox);
-    }
-    fn entries(&self) -> usize {
-        InProcessRegistry::entries(self)
-    }
-    fn peak_entries(&self) -> usize {
-        InProcessRegistry::peak_entries(self)
-    }
-    fn lookups(&self) -> u64 {
-        InProcessRegistry::lookups(self)
-    }
-    fn mem_bytes(&self) -> usize {
-        InProcessRegistry::mem_bytes(self)
-    }
-    fn peak_mem_bytes(&self) -> usize {
-        InProcessRegistry::peak_mem_bytes(self)
-    }
-    fn shard_count(&self) -> usize {
-        InProcessRegistry::shard_count(self)
-    }
-    fn shard_entries(&self) -> Vec<usize> {
-        InProcessRegistry::shard_entries(self)
-    }
-    fn shard_lookup_counts(&self) -> Vec<u64> {
-        InProcessRegistry::shard_lookup_counts(self)
-    }
-    fn base_sandboxes(&self) -> usize {
-        InProcessRegistry::base_sandboxes(self)
-    }
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        InProcessRegistry::contains_sandbox(self, sandbox)
-    }
-    fn locs_on_node(&self, node: NodeId) -> usize {
-        InProcessRegistry::locs_on_node(self, node)
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        InProcessRegistry::check_invariants(self)
-    }
-}
-
-/// The distributed fingerprint registry: the same sharded store, but
-/// every shard is *owned* by a worker node and all traffic to it is
-/// routed over the fabric as priced RPCs.
-///
-/// ## Placement
-///
-/// Shard `s` is initially owned by node `s % owners` (the first
-/// `owners` nodes of the cluster form the owner set). A chunk hash
-/// homes in shard `hash % nshards` exactly as in-process, so candidate
-/// election — and therefore the whole `RunReport` — is bit-identical
-/// at any placement; the placement only decides *where* the RPCs go.
-///
-/// ## RPC cost model
-///
-/// The dedup controller (node 0) issues one RPC per touched shard per
-/// operation: lookups carry `PROBE_BYTES` per chunk probe out and a
-/// response sized to the probe count (candidate lists are capped, see
-/// `MAX_LOCS_PER_HASH`), inserts carry the probe bytes plus one
-/// serialized entry, removals broadcast the sandbox id to every owner.
-/// Costs are priced by the same [`NetConfig`] the platform fabric
-/// uses, on a registry-private fabric, so the traffic lands in this
-/// backend's [`FabricStats`] without perturbing the event stream the
-/// reports are computed from — dedup is off the critical path, and the
-/// accounted latency is an overhead figure (§7.7), not a scheduling
-/// input.
-#[derive(Debug)]
-pub struct DistributedRegistry {
-    store: InProcessRegistry,
-    /// Shard index → owning node index.
-    owner_map: RwLock<Vec<usize>>,
-    /// Node index → alive? (crashed owners never receive shards).
-    alive: RwLock<Vec<bool>>,
-    /// Registry-private fabric: prices RPCs with the platform's cost
-    /// model but keeps its own stats, so report-visible fabric
-    /// counters stay byte-identical to the in-process backend.
-    fabric: Mutex<Fabric>,
-    retry: RetryPolicy,
-    rpc_time_us: AtomicU64,
-    rereplicated: AtomicU64,
-    crash_purged: AtomicU64,
-    obs: Arc<Obs>,
-}
-
-/// The node hosting the dedup controller, origin of registry RPCs.
-const CONTROLLER_NODE: usize = 0;
-
-impl DistributedRegistry {
-    /// Creates a distributed registry with `shards` shards placed on
-    /// the first `owners` of `nodes` worker nodes. `owners` is clamped
-    /// to `1..=nodes`.
-    pub fn new(
-        shards: usize,
-        owners: usize,
-        nodes: usize,
-        net: NetConfig,
-        retry: RetryPolicy,
-        obs: Arc<Obs>,
-    ) -> Self {
-        assert!(nodes > 0, "distributed registry needs at least one node");
-        let owners = owners.clamp(1, nodes);
-        let nshards = shards.max(1);
-        DistributedRegistry {
-            store: InProcessRegistry::with_shards_obs(nshards, Arc::clone(&obs)),
-            owner_map: RwLock::new((0..nshards).map(|s| s % owners).collect()),
-            alive: RwLock::new(vec![true; nodes]),
-            fabric: Mutex::new(Fabric::with_obs(nodes, net, Arc::clone(&obs))),
-            retry,
-            rpc_time_us: AtomicU64::new(0),
-            rereplicated: AtomicU64::new(0),
-            crash_purged: AtomicU64::new(0),
-            obs,
-        }
-    }
-
-    /// Current owner node of a shard.
-    pub fn owner_of(&self, shard: usize) -> usize {
-        self.owner_map.read().unwrap()[shard]
-    }
-
-    /// Number of shards currently owned by `node`.
-    pub fn shards_owned_by(&self, node: NodeId) -> usize {
-        self.owner_map
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|&&o| o == node.0)
-            .count()
-    }
-
-    /// Issues (and accounts) one registry RPC to a shard owner. The
-    /// clean registry fabric never fails, so the retry machinery is a
-    /// straight pass-through; the result feeds the overhead totals.
-    fn owner_rpc(&self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
-        let mut fabric = self.fabric.lock().unwrap();
-        match fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry) {
-            Ok(out) => {
-                self.rpc_time_us
-                    .fetch_add(out.time.as_micros(), Ordering::Relaxed);
-            }
-            Err(_) => {
-                // Unreachable owner: ownership is re-demarcated at
-                // crash time, so this only fires if a fault schedule
-                // was installed directly on the registry fabric (unit
-                // tests). The op still completes against the logical
-                // store; the failure stays in the stats.
-            }
-        }
-    }
-
-    /// Groups a fingerprint batch's chunk probes by home shard.
-    /// Mirrors the store's own grouping so the RPC fan-out matches the
-    /// lock fan-out of the in-process fast path.
-    fn probes_per_shard(&self, fps: &[PageFingerprint]) -> Vec<usize> {
-        let nshards = self.store.shard_count();
-        let mut probes = vec![0usize; nshards];
-        for fp in fps {
-            for chunk in fp.chunks() {
-                probes[(chunk.hash % nshards as u64) as usize] += 1;
-            }
-        }
-        probes
-    }
-
-    /// Charges the per-shard RPCs for a batch of `probes` chunk probes.
-    fn charge_lookup(&self, probes: &[usize]) {
-        let owners = self.owner_map.read().unwrap().clone();
-        for (s, &n) in probes.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            self.owner_rpc(
-                owners[s],
-                RegistryOp::Lookup,
-                n * PROBE_BYTES,
-                n * CANDIDATE_BYTES,
-            );
-        }
-    }
-}
-
-impl RegistryBackend for DistributedRegistry {
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        let probes = self.probes_per_shard(std::slice::from_ref(fp));
-        let owners = self.owner_map.read().unwrap().clone();
-        for (s, &n) in probes.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            self.owner_rpc(
-                owners[s],
-                RegistryOp::Insert,
-                n * PROBE_BYTES + std::mem::size_of::<ChunkLoc>(),
-                PROBE_BYTES,
-            );
-        }
-        self.store.insert_page(fp, loc);
-    }
-
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        self.charge_lookup(&self.probes_per_shard(std::slice::from_ref(fp)));
-        self.store.lookup(fp)
-    }
-
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        self.charge_lookup(&self.probes_per_shard(fps));
-        self.store.lookup_batch(fps)
-    }
-
-    fn remove_sandbox(&self, sandbox: SandboxId) {
-        // Removal is a broadcast: a sandbox's chunk hashes span shards,
-        // and the reverse index lives with each owner.
-        if self.store.contains_sandbox(sandbox) {
-            let owners = self.owner_map.read().unwrap().clone();
-            let mut distinct: Vec<usize> = owners.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            for owner in distinct {
-                self.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
-            }
-        }
-        self.store.remove_sandbox(sandbox);
-    }
-
-    fn entries(&self) -> usize {
-        self.store.entries()
-    }
-    fn peak_entries(&self) -> usize {
-        self.store.peak_entries()
-    }
-    fn lookups(&self) -> u64 {
-        self.store.lookups()
-    }
-    fn mem_bytes(&self) -> usize {
-        self.store.mem_bytes()
-    }
-    fn peak_mem_bytes(&self) -> usize {
-        self.store.peak_mem_bytes()
-    }
-    fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-    fn shard_entries(&self) -> Vec<usize> {
-        self.store.shard_entries()
-    }
-    fn shard_lookup_counts(&self) -> Vec<u64> {
-        self.store.shard_lookup_counts()
-    }
-    fn base_sandboxes(&self) -> usize {
-        self.store.base_sandboxes()
-    }
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.store.contains_sandbox(sandbox)
-    }
-    fn locs_on_node(&self, node: NodeId) -> usize {
-        self.store.locs_on_node(node)
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        self.store.check_invariants()?;
-        let owners = self.owner_map.read().unwrap();
-        let alive = self.alive.read().unwrap();
-        if owners.len() != self.store.shard_count() {
+        let Some(own) = &self.ownership else {
+            return Ok(());
+        };
+        let owners = own.owner_map.read().unwrap();
+        let alive = own.alive.read().unwrap();
+        if owners.len() != self.shards.len() {
             return Err(format!(
                 "ownership map covers {} shards, store has {}",
                 owners.len(),
-                self.store.shard_count()
+                self.shards.len()
             ));
         }
         for (s, &o) in owners.iter().enumerate() {
@@ -946,21 +717,33 @@ impl RegistryBackend for DistributedRegistry {
         Ok(())
     }
 
-    fn set_now(&self, now: SimTime) {
-        self.fabric.lock().unwrap().set_now(now);
+    /// Mirrors the simulated clock into the registry fabric (used to
+    /// price RPCs at the current instant). No-op in process.
+    pub fn set_now(&self, now: SimTime) {
+        if let Some(own) = &self.ownership {
+            own.fabric.lock().unwrap().set_now(now);
+        }
     }
 
-    fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
+    /// Notifies the registry that `node` crashed, *after* the platform
+    /// purged the node's base sandboxes. With shard ownership, the dead
+    /// owner's shard copies are purged, their ownership re-demarcated
+    /// onto survivors, and the surviving entries re-replicated. No-op
+    /// in process.
+    pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
+        let Some(own) = &self.ownership else {
+            return CrashRecovery::default();
+        };
         {
-            let mut alive = self.alive.write().unwrap();
+            let mut alive = own.alive.write().unwrap();
             if node.0 >= alive.len() || !alive[node.0] {
                 return CrashRecovery::default();
             }
             alive[node.0] = false;
         }
-        let shard_entries = self.store.shard_entries();
-        let mut owners = self.owner_map.write().unwrap();
-        let alive = self.alive.read().unwrap();
+        let shard_entries = self.shard_entries();
+        let mut owners = own.owner_map.write().unwrap();
+        let alive = own.alive.read().unwrap();
         // Deterministic survivor rotation: ascending node ids, each
         // orphaned shard taking the next survivor in turn.
         let survivors: Vec<usize> = (0..alive.len()).filter(|&n| alive[n]).collect();
@@ -985,16 +768,14 @@ impl RegistryBackend for DistributedRegistry {
             rec.purged_entries += entries;
             rec.rereplicated_entries += entries;
             rec.reassigned_shards += 1;
-            self.owner_rpc(
+            own.owner_rpc(
                 *owner,
                 RegistryOp::Replicate,
                 2 * PROBE_BYTES,
                 entries * ENTRY_BYTES,
             );
         }
-        self.crash_purged
-            .fetch_add(rec.purged_entries as u64, Ordering::Relaxed);
-        self.rereplicated
+        own.rereplicated
             .fetch_add(rec.rereplicated_entries as u64, Ordering::Relaxed);
         if self.obs.enabled() && rec.reassigned_shards > 0 {
             self.obs
@@ -1011,17 +792,26 @@ impl RegistryBackend for DistributedRegistry {
         rec
     }
 
-    fn on_node_restart(&self, node: NodeId) {
-        let mut alive = self.alive.write().unwrap();
-        if node.0 < alive.len() {
-            alive[node.0] = true;
+    /// Notifies the registry that `node` restarted. Restarted nodes
+    /// rejoin the owner candidate set for future re-demarcations but
+    /// do not reclaim shards (no proactive rebalancing).
+    pub fn on_node_restart(&self, node: NodeId) {
+        if let Some(own) = &self.ownership {
+            let mut alive = own.alive.write().unwrap();
+            if node.0 < alive.len() {
+                alive[node.0] = true;
+            }
         }
     }
 
-    fn entries_owned_by(&self, node: NodeId) -> usize {
-        let owners = self.owner_map.read().unwrap();
-        self.store
-            .shard_entries()
+    /// Entries resident in shards owned by `node`; 0 in process, where
+    /// worker nodes own nothing.
+    pub fn entries_owned_by(&self, node: NodeId) -> usize {
+        let Some(own) = &self.ownership else {
+            return 0;
+        };
+        let owners = own.owner_map.read().unwrap();
+        self.shard_entries()
             .iter()
             .enumerate()
             .filter(|&(s, _)| owners[s] == node.0)
@@ -1029,178 +819,42 @@ impl RegistryBackend for DistributedRegistry {
             .sum()
     }
 
-    fn rpc_stats(&self) -> FabricStats {
-        self.fabric.lock().unwrap().stats()
-    }
-
-    fn rpc_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.rpc_time_us.load(Ordering::Relaxed))
-    }
-
-    fn rereplicated_entries(&self) -> u64 {
-        self.rereplicated.load(Ordering::Relaxed)
-    }
-}
-
-/// Thin facade the platform holds: forwards every call to the
-/// configured [`RegistryBackend`]. Constructed per run from the
-/// platform config; cheap to share across the dedup pipeline's worker
-/// threads by reference.
-#[derive(Debug)]
-pub struct RegistryClient {
-    backend: Box<dyn RegistryBackend>,
-}
-
-impl Default for RegistryClient {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RegistryClient {
-    /// A single-shard in-process registry with observability disabled —
-    /// the drop-in equivalent of the old `FingerprintRegistry::new()`.
-    pub fn new() -> Self {
-        Self::in_process(1, Obs::disabled())
-    }
-
-    /// A controller-resident sharded registry.
-    pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
-        Self::from_backend(Box::new(InProcessRegistry::with_shards_obs(shards, obs)))
-    }
-
-    /// A distributed registry over `owners` of `nodes` worker nodes.
-    pub fn distributed(
-        shards: usize,
-        owners: usize,
-        nodes: usize,
-        net: NetConfig,
-        retry: RetryPolicy,
-        obs: Arc<Obs>,
-    ) -> Self {
-        Self::from_backend(Box::new(DistributedRegistry::new(
-            shards, owners, nodes, net, retry, obs,
-        )))
-    }
-
-    /// Wraps an arbitrary backend.
-    pub fn from_backend(backend: Box<dyn RegistryBackend>) -> Self {
-        RegistryClient { backend }
-    }
-
-    /// Inserts all fingerprint chunks of one base-sandbox page.
-    pub fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        self.backend.insert_page(fp, loc);
-    }
-
-    /// Looks up one page fingerprint.
-    pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        self.backend.lookup(fp)
-    }
-
-    /// Looks up a batch of page fingerprints.
-    pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        self.backend.lookup_batch(fps)
-    }
-
-    /// Removes every entry contributed by a base sandbox.
-    pub fn remove_sandbox(&self, sandbox: SandboxId) {
-        self.backend.remove_sandbox(sandbox);
-    }
-
-    /// Live (hash, location) entry count.
-    pub fn entries(&self) -> usize {
-        self.backend.entries()
-    }
-
-    /// High-water mark of entries.
-    pub fn peak_entries(&self) -> usize {
-        self.backend.peak_entries()
-    }
-
-    /// Total lookups served.
-    pub fn lookups(&self) -> u64 {
-        self.backend.lookups()
-    }
-
-    /// Approximate resident bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.backend.mem_bytes()
-    }
-
-    /// High-water mark of resident bytes.
-    pub fn peak_mem_bytes(&self) -> usize {
-        self.backend.peak_mem_bytes()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.backend.shard_count()
-    }
-
-    /// Live entry count per shard.
-    pub fn shard_entries(&self) -> Vec<usize> {
-        self.backend.shard_entries()
-    }
-
-    /// Chunk probes served per shard.
-    pub fn shard_lookup_counts(&self) -> Vec<u64> {
-        self.backend.shard_lookup_counts()
-    }
-
-    /// Distinct base sandboxes currently contributing entries.
-    pub fn base_sandboxes(&self) -> usize {
-        self.backend.base_sandboxes()
-    }
-
-    /// Whether the registry still tracks this sandbox.
-    pub fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.backend.contains_sandbox(sandbox)
-    }
-
-    /// Chunk locations pointing at `node`.
-    pub fn locs_on_node(&self, node: NodeId) -> usize {
-        self.backend.locs_on_node(node)
-    }
-
-    /// Structural self-check.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.backend.check_invariants()
-    }
-
-    /// Mirrors the simulated clock into the backend.
-    pub fn set_now(&self, now: SimTime) {
-        self.backend.set_now(now);
-    }
-
-    /// Crash notification (see [`RegistryBackend::on_node_crash`]).
-    pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
-        self.backend.on_node_crash(node)
-    }
-
-    /// Restart notification.
-    pub fn on_node_restart(&self, node: NodeId) {
-        self.backend.on_node_restart(node);
-    }
-
-    /// Entries resident in shards owned by `node`.
-    pub fn entries_owned_by(&self, node: NodeId) -> usize {
-        self.backend.entries_owned_by(node)
-    }
-
-    /// Cumulative registry RPC traffic.
+    /// Cumulative registry RPC traffic (zero in process).
     pub fn rpc_stats(&self) -> FabricStats {
-        self.backend.rpc_stats()
+        self.ownership
+            .as_ref()
+            .map_or_else(FabricStats::default, |own| {
+                own.fabric.lock().unwrap().stats()
+            })
     }
 
-    /// Total simulated time spent in registry RPCs.
+    /// Total simulated time spent in registry RPCs. Accounted off the
+    /// report-visible path: dedup runs off the critical path, so the
+    /// latency is an overhead figure, not a scheduling input.
     pub fn rpc_time(&self) -> SimDuration {
-        self.backend.rpc_time()
+        self.ownership.as_ref().map_or(SimDuration::ZERO, |own| {
+            SimDuration::from_micros(own.rpc_time_us.load(Ordering::Relaxed))
+        })
     }
 
     /// Cumulative entries re-replicated by crash recoveries.
     pub fn rereplicated_entries(&self) -> u64 {
-        self.backend.rereplicated_entries()
+        self.ownership
+            .as_ref()
+            .map_or(0, |own| own.rereplicated.load(Ordering::Relaxed))
+    }
+
+    /// All (hash, location) pairs, for test assertions.
+    #[cfg(test)]
+    fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
+        let mut out = Vec::new();
+        for lock in &self.shards {
+            let shard = lock.read().unwrap();
+            for (&h, locs) in &shard.table {
+                out.extend(locs.iter().map(|&l| (h, l)));
+            }
+        }
+        out
     }
 }
 
@@ -1217,6 +871,32 @@ mod tests {
         p
     }
 
+    fn in_process(shards: usize) -> RegistryClient {
+        RegistryClient::in_process(shards, Obs::disabled())
+    }
+
+    fn distributed(shards: usize, owners: usize, nodes: usize) -> RegistryClient {
+        RegistryClient::distributed(
+            shards,
+            owners,
+            nodes,
+            medes_net::NetConfig::default(),
+            RetryPolicy::default(),
+            Obs::disabled(),
+        )
+    }
+
+    /// Number of shards currently owned by `node`.
+    fn shards_owned_by(reg: &RegistryClient, node: NodeId) -> usize {
+        let owners = reg
+            .ownership
+            .as_ref()
+            .expect("distributed")
+            .owner_map
+            .read();
+        owners.unwrap().iter().filter(|&&o| o == node.0).count()
+    }
+
     fn loc(sb: u64, page: u32) -> ChunkLoc {
         ChunkLoc {
             node: NodeId(0),
@@ -1231,7 +911,7 @@ mod tests {
         let page = random_page(1);
         let fp = page_fingerprint(&page, &cfg);
         assert!(!fp.is_empty());
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&fp, loc(1, 0));
         let cands = reg.lookup(&fp);
         assert_eq!(cands.len(), 1);
@@ -1242,7 +922,7 @@ mod tests {
     #[test]
     fn unrelated_page_gets_no_candidates() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&page_fingerprint(&random_page(1), &cfg), loc(1, 0));
         let cands = reg.lookup(&page_fingerprint(&random_page(2), &cfg));
         assert!(cands.is_empty());
@@ -1257,7 +937,7 @@ mod tests {
         let mut partial = random_page(4);
         partial[..2048].copy_from_slice(&page[..2048]);
         let fp_partial = page_fingerprint(&partial, &cfg);
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&fp, loc(1, 0));
         reg.insert_page(&fp_partial, loc(2, 0));
         let cands = reg.lookup(&fp);
@@ -1270,7 +950,7 @@ mod tests {
     #[test]
     fn removal_is_exact() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         let fp1 = page_fingerprint(&random_page(5), &cfg);
         let fp2 = page_fingerprint(&random_page(6), &cfg);
         reg.insert_page(&fp1, loc(1, 0));
@@ -1291,7 +971,7 @@ mod tests {
         let page = random_page(7);
         let fp = page_fingerprint(&page, &cfg);
         for shards in [1, 4] {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = in_process(shards);
             for sb in 0..20 {
                 reg.insert_page(&fp, loc(sb, 0));
             }
@@ -1304,7 +984,7 @@ mod tests {
     #[test]
     fn lookup_counter_increments() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         let fp = page_fingerprint(&random_page(8), &cfg);
         reg.lookup(&fp);
         reg.lookup(&fp);
@@ -1324,7 +1004,7 @@ mod tests {
         let fp_partial = page_fingerprint(&partial, &cfg);
 
         let build = |shards: usize| {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = in_process(shards);
             for (i, fp) in fps.iter().enumerate() {
                 reg.insert_page(
                     fp,
@@ -1366,7 +1046,7 @@ mod tests {
     fn lookup_batch_matches_individual_lookups() {
         let cfg = FingerprintConfig::default();
         for shards in [1, 4, 16] {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = in_process(shards);
             for i in 0..16u64 {
                 let fp = page_fingerprint(&random_page(i), &cfg);
                 reg.insert_page(&fp, loc(i % 4 + 1, i as u32));
@@ -1387,7 +1067,7 @@ mod tests {
     #[test]
     fn base_sandboxes_is_distinct_union_across_shards() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards(8);
+        let reg = in_process(8);
         for page in 0..12u64 {
             let fp = page_fingerprint(&random_page(1000 + page), &cfg);
             reg.insert_page(&fp, loc(1, page as u32));
@@ -1409,7 +1089,7 @@ mod tests {
         for shards in [1, 3, 8] {
             let mut rng = DetRng::new(0x1EC5);
             for case in 0..16 {
-                let reg = InProcessRegistry::with_shards(shards);
+                let reg = in_process(shards);
                 let mut live: Vec<u64> = Vec::new();
                 let mut evicted: Vec<u64> = Vec::new();
                 let mut next_sb = 1u64;
@@ -1473,7 +1153,7 @@ mod tests {
     #[test]
     fn locs_on_node_counts_and_drains() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards(4);
+        let reg = in_process(4);
         let fp1 = page_fingerprint(&random_page(21), &cfg);
         let fp2 = page_fingerprint(&random_page(22), &cfg);
         reg.insert_page(
@@ -1504,7 +1184,7 @@ mod tests {
     fn obs_mirrors_registry_activity() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards_obs(2, Arc::clone(&obs));
+        let reg = RegistryClient::in_process(2, Arc::clone(&obs));
         let fp = page_fingerprint(&random_page(9), &cfg);
         reg.insert_page(&fp, loc(1, 0));
         reg.lookup(&fp);
@@ -1523,28 +1203,17 @@ mod tests {
         assert_eq!(obs.counter("medes.registry.evictions"), 1);
     }
 
-    fn distributed(shards: usize, owners: usize, nodes: usize) -> DistributedRegistry {
-        DistributedRegistry::new(
-            shards,
-            owners,
-            nodes,
-            medes_net::NetConfig::default(),
-            RetryPolicy::default(),
-            Obs::disabled(),
-        )
-    }
-
     /// Shard placement must not leak into what the registry *returns*:
     /// a distributed registry at any owner count elects the exact same
-    /// candidates — and reports the same counters — as the in-process
-    /// store it wraps.
+    /// candidates — and reports the same counters — as an in-process
+    /// registry with the same shard count.
     #[test]
     fn distributed_results_match_in_process_at_any_placement() {
         let cfg = FingerprintConfig::default();
         let fps: Vec<PageFingerprint> = (0..16u64)
             .map(|i| page_fingerprint(&random_page(40 + i), &cfg))
             .collect();
-        let run = |reg: &dyn RegistryBackend| {
+        let run = |reg: &RegistryClient| {
             for (i, fp) in fps.iter().enumerate() {
                 reg.insert_page(
                     fp,
@@ -1559,7 +1228,7 @@ mod tests {
             let batch = reg.lookup_batch(&fps);
             (batch, reg.entries(), reg.base_sandboxes(), reg.lookups())
         };
-        let local = InProcessRegistry::with_shards(8);
+        let local = in_process(8);
         let baseline = run(&local);
         for owners in [1, 3, 6] {
             let reg = distributed(8, owners, 6);
@@ -1568,13 +1237,13 @@ mod tests {
         }
     }
 
-    /// Every logical operation on the distributed backend turns into
+    /// Every logical operation on a distributed registry turns into
     /// priced RPC traffic on its private fabric, split by op kind.
     #[test]
     fn distributed_charges_rpc_traffic() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = DistributedRegistry::new(
+        let reg = RegistryClient::distributed(
             4,
             2,
             4,
@@ -1624,14 +1293,14 @@ mod tests {
         }
         let owned_before = reg.entries_owned_by(NodeId(1));
         let entries_before = reg.entries();
-        assert!(reg.shards_owned_by(NodeId(1)) > 0, "test premise");
+        assert!(shards_owned_by(&reg, NodeId(1)) > 0, "test premise");
         let replicates_before = reg.rpc_stats().rpcs;
 
         let rec = reg.on_node_crash(NodeId(1));
         assert!(rec.reassigned_shards > 0);
         assert_eq!(rec.purged_entries, owned_before);
         assert_eq!(rec.rereplicated_entries, owned_before);
-        assert_eq!(reg.shards_owned_by(NodeId(1)), 0);
+        assert_eq!(shards_owned_by(&reg, NodeId(1)), 0);
         assert_eq!(reg.entries_owned_by(NodeId(1)), 0);
         assert_eq!(reg.rereplicated_entries(), owned_before as u64);
         assert_eq!(
@@ -1653,9 +1322,9 @@ mod tests {
         reg.check_invariants().expect("second re-demarcation");
     }
 
-    /// The facade forwards faithfully: a distributed client and an
-    /// in-process client given the same inputs agree on every counter
-    /// the trait exposes (the counter-parity contract of the backends).
+    /// Shard ownership never touches the store: a distributed client and
+    /// an in-process client given the same inputs agree on every store
+    /// counter (the counter-parity contract of the placements).
     #[test]
     fn client_counters_agree_across_backends() {
         let cfg = FingerprintConfig::default();

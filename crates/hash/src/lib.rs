@@ -7,8 +7,6 @@
 //! * [`sha1`] — the SHA-1 hash the paper uses for chunk identity
 //!   (measurement study, §2.1) with an incremental digest API.
 //! * [`fnv`] — FNV-1a, used for cheap non-cryptographic table hashing.
-//! * [`rabin`] — a rolling Karp–Rabin window hash, enabling O(1)-per-byte
-//!   scans of a page at every offset.
 //! * [`sample`] — *value-sampled page fingerprints* (§4.1.2): a linear
 //!   scan over each 4 KiB page selecting 64 B chunks whose last two bytes
 //!   match a fixed pattern; the (at most) five selected chunk hashes form
@@ -21,7 +19,6 @@
 
 pub mod chunk;
 pub mod fnv;
-pub mod rabin;
 pub mod sample;
 pub mod sha1;
 

@@ -14,7 +14,7 @@
 //! | crate | role |
 //! |-------|------|
 //! | [`sim`] | deterministic discrete-event kernel, RNG, statistics |
-//! | [`hash`] | SHA-1, rolling Rabin windows, value-sampled fingerprints |
+//! | [`hash`] | SHA-1, value-sampled fingerprints |
 //! | [`delta`] | binary diff/patch (the Xdelta3 stand-in) |
 //! | [`mem`] | sandbox memory images + the synthetic content model |
 //! | [`ckpt`] | CRIU-like checkpoint/restore with the paper's timings |

@@ -1,19 +1,20 @@
-//! Trait-conformance suite for registry backends (DESIGN.md §15).
+//! Placement-conformance suite for the fingerprint registry (DESIGN.md
+//! §15).
 //!
-//! Every [`RegistryBackend`] must be observationally identical to the
-//! in-process reference: same candidates, same counters, at every
-//! interleaving of inserts, lookups, and removals. On top of the
-//! backend-level contract, whole-platform runs (fig7-, fig9-, and
+//! A distributed [`RegistryClient`] must be observationally identical
+//! to the in-process placement: same candidates, same counters, at
+//! every interleaving of inserts, lookups, and removals. On top of the
+//! registry-level contract, whole-platform runs (fig7-, fig9-, and
 //! chaos-style configurations) must produce bit-identical `RunReport`s
-//! with the distributed backend at 1, 4, and 12 owner nodes — and
-//! crash runs must end with zero registry state tied to dead nodes.
+//! with shards owned by 1, 4, and 12 nodes — and crash runs must end
+//! with zero registry state tied to dead nodes.
 
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
 use medes::obs::Obs;
 use medes::platform::config::{PlatformConfig, PolicyKind, RegistryPlacement};
 use medes::platform::ids::{NodeId, SandboxId};
-use medes::platform::registry::{ChunkLoc, RegistryClient};
+use medes::platform::registry::{ChunkLoc, CrashRecovery, RegistryClient};
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
 use medes::sim::fault::FaultPlan;
@@ -27,9 +28,9 @@ fn random_page(seed: u64) -> Vec<u8> {
     p
 }
 
-/// One client per backend, identically sharded: the in-process
+/// One client per placement, identically sharded: the in-process
 /// reference plus distributed placements of several widths.
-fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
+fn placements(shards: usize) -> Vec<(String, RegistryClient)> {
     let mut out = vec![(
         "in-process".to_string(),
         RegistryClient::in_process(shards, Obs::disabled()),
@@ -50,7 +51,7 @@ fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
     out
 }
 
-/// Snapshot of every counter the trait exposes, for parity assertions.
+/// Snapshot of every store counter, for parity assertions.
 fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>, Vec<u64>, usize) {
     (
         c.entries(),
@@ -64,7 +65,7 @@ fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>,
     )
 }
 
-/// Randomized insert/lookup/remove interleavings: every backend must
+/// Randomized insert/lookup/remove interleavings: every placement must
 /// return the same candidates and report the same counters as the
 /// in-process reference, step for step.
 #[test]
@@ -74,7 +75,7 @@ fn interleavings_agree_across_backends() {
         .map(|i| page_fingerprint(&random_page(i), &cfg))
         .collect();
     for case in 0..4u64 {
-        let mut clients = backends(8);
+        let mut clients = placements(8);
         let mut rng = DetRng::new(0xC0DE + case);
         let mut live: Vec<u64> = Vec::new();
         let mut next_sb = 1u64;
@@ -123,41 +124,66 @@ fn interleavings_agree_across_backends() {
 /// Crashing an owner node must purge its ownership entirely: no shard
 /// owned by it, no entries homed in shards owned by it, invariants
 /// clean — while the logical contents survive re-demarcation intact.
+/// The in-process placement owns nothing, so the same crashes (and a
+/// restart) must leave it untouched and RPC-free.
 #[test]
 fn crash_purge_leaves_no_dead_node_state() {
     let cfg = FingerprintConfig::default();
-    let client = RegistryClient::distributed(
-        8,
-        6,
-        6,
-        NetConfig::default(),
-        RetryPolicy::default(),
-        Obs::disabled(),
-    );
-    for i in 0..24u64 {
-        let fp = page_fingerprint(&random_page(200 + i), &cfg);
-        client.insert_page(
-            &fp,
-            ChunkLoc {
-                node: NodeId((i % 6) as usize),
-                sandbox: SandboxId(i + 1),
-                page: 0,
-            },
-        );
-    }
-    let entries = client.entries();
-    // Kill owners one at a time; the last survivor absorbs everything.
-    for dead in 0..5usize {
-        let rec = client.on_node_crash(NodeId(dead));
-        assert!(rec.reassigned_shards > 0, "node {dead} owned no shards");
-        assert_eq!(client.entries_owned_by(NodeId(dead)), 0);
+    for owners in [None, Some(6)] {
+        let client = match owners {
+            None => RegistryClient::in_process(8, Obs::disabled()),
+            Some(n) => RegistryClient::distributed(
+                8,
+                n,
+                6,
+                NetConfig::default(),
+                RetryPolicy::default(),
+                Obs::disabled(),
+            ),
+        };
+        for i in 0..24u64 {
+            let fp = page_fingerprint(&random_page(200 + i), &cfg);
+            client.insert_page(
+                &fp,
+                ChunkLoc {
+                    node: NodeId((i % 6) as usize),
+                    sandbox: SandboxId(i + 1),
+                    page: 0,
+                },
+            );
+        }
+        let entries = client.entries();
+        // Kill owners one at a time; the last survivor absorbs everything.
+        for dead in 0..5usize {
+            let rec = client.on_node_crash(NodeId(dead));
+            if owners.is_some() {
+                assert!(rec.reassigned_shards > 0, "node {dead} owned no shards");
+            } else {
+                assert_eq!(rec, CrashRecovery::default(), "in-process crash of {dead}");
+            }
+            assert_eq!(client.entries_owned_by(NodeId(dead)), 0);
+            client
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("{owners:?}: after crash of node {dead}: {e}"));
+        }
+        client.on_node_restart(NodeId(0));
         client
             .check_invariants()
-            .unwrap_or_else(|e| panic!("after crash of node {dead}: {e}"));
+            .unwrap_or_else(|e| panic!("{owners:?}: after restart: {e}"));
+        assert_eq!(
+            client.entries(),
+            entries,
+            "{owners:?}: crashes lost entries"
+        );
+        if owners.is_some() {
+            assert_eq!(client.entries_owned_by(NodeId(5)), entries);
+            assert!(client.rereplicated_entries() > 0);
+        } else {
+            assert_eq!(client.entries_owned_by(NodeId(5)), 0);
+            assert_eq!(client.rereplicated_entries(), 0);
+            assert_eq!(client.rpc_stats().rpcs, 0);
+        }
     }
-    assert_eq!(client.entries(), entries, "re-demarcation lost entries");
-    assert_eq!(client.entries_owned_by(NodeId(5)), entries);
-    assert!(client.rereplicated_entries() > 0);
 }
 
 fn suite() -> Vec<FunctionProfile> {
@@ -265,7 +291,7 @@ fn fig9_style_report_is_placement_invariant() {
 }
 
 /// Chaos-style: a synthesized fault plan crashes nodes mid-run. The
-/// distributed backend must re-demarcate ownership and still replay
+/// distributed registry must re-demarcate ownership and still replay
 /// the in-process report bit for bit, ending with zero dead-node
 /// registry state.
 #[test]
