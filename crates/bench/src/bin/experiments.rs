@@ -414,7 +414,7 @@ fn main() {
                     &perf_history::PerfRecord {
                         experiment: id.clone(),
                         quick: cfg.quick,
-                        wall_s,
+                        timing: perf_history::PerfTiming::Wall { wall_s },
                         peak_rss_bytes: perf_history::peak_rss_bytes(),
                     },
                 );

@@ -11,34 +11,33 @@
 use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_mem::redundancy::redundancy;
-use medes_mem::{AslrConfig, FunctionSpec, ImageBuilder, MemoryImage};
+use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage, TileTemplates};
 use medes_trace::functionbench_suite;
+use std::sync::Arc;
 
 const CHUNK_SIZES: &[usize] = &[64, 128, 256, 512, 1024];
 
-fn build(
-    name: &str,
-    mem: usize,
-    libs: &[&str],
-    aslr: AslrConfig,
-    scale: usize,
-    inst: u64,
-) -> MemoryImage {
-    ImageBuilder::new(FunctionSpec::new(name, mem, libs))
-        .with_aslr(aslr)
-        .with_scale(scale)
-        .build(inst)
-}
-
-fn images_for_suite(cfg: &ExpConfig, aslr: AslrConfig) -> Vec<(String, MemoryImage, MemoryImage)> {
+/// One builder per FunctionBench function, all sharing one template
+/// store so the runtime and common libraries are synthesized once.
+fn suite_builders(aslr: AslrConfig, scale: usize) -> Vec<(String, ImageBuilder)> {
+    let templates = Arc::new(TileTemplates::new(ContentModel::default()));
     functionbench_suite()
         .iter()
         .map(|p| {
             let libs: Vec<&str> = p.libs.iter().map(|s| s.as_str()).collect();
-            let a = build(&p.name, p.memory_bytes, &libs, aslr, cfg.study_scale(), 1);
-            let b = build(&p.name, p.memory_bytes, &libs, aslr, cfg.study_scale(), 2);
-            (p.name.clone(), a, b)
+            let builder = ImageBuilder::new(FunctionSpec::new(&p.name, p.memory_bytes, &libs))
+                .with_templates(Arc::clone(&templates))
+                .with_aslr(aslr)
+                .with_scale(scale);
+            (p.name.clone(), builder)
         })
+        .collect()
+}
+
+fn images_for_suite(cfg: &ExpConfig, aslr: AslrConfig) -> Vec<(String, MemoryImage, MemoryImage)> {
+    suite_builders(aslr, cfg.study_scale())
+        .into_iter()
+        .map(|(name, b)| (name, b.build(1), b.build(2)))
         .collect()
 }
 
@@ -97,24 +96,12 @@ pub fn run_fig1c(cfg: &ExpConfig) -> Report {
         "fig1c",
         "cross-function redundancy at 64B (row function w.r.t. column function)",
     );
-    let suite = functionbench_suite();
-    let images: Vec<(String, MemoryImage)> = suite
-        .iter()
-        .map(|p| {
-            let libs: Vec<&str> = p.libs.iter().map(|s| s.as_str()).collect();
-            (
-                p.name.clone(),
-                build(
-                    &p.name,
-                    p.memory_bytes,
-                    &libs,
-                    AslrConfig::DISABLED,
-                    cfg.study_scale() * 2, // matrix is O(n^2) pairs
-                    1,
-                ),
-            )
-        })
-        .collect();
+    // The matrix is O(n^2) pairs, so it runs at half the study's size.
+    let images: Vec<(String, MemoryImage)> =
+        suite_builders(AslrConfig::DISABLED, cfg.study_scale() * 2)
+            .into_iter()
+            .map(|(name, b)| (name, b.build(1)))
+            .collect();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for (bname, bimg) in &images {

@@ -1,8 +1,8 @@
 //! `microbench` — p50/p95/p99 latency per hot-path op (renacer style).
 //!
-//! Criterion-compatible micro-benchmarks for the three compute-bound
-//! ops the PR 8 hot-path work targets: fingerprint scan, delta encode,
-//! and patch apply. Each op is sampled individually (one `Instant`
+//! Criterion-compatible micro-benchmarks for the compute-bound hot-path
+//! ops: image synthesis, fingerprint scan, delta encode, and patch
+//! apply. Each op is sampled individually (one `Instant`
 //! window per call, percentiles over the sorted samples — medians hide
 //! tail behavior, which is exactly what the restore path cares about)
 //! on a checkpoint-shaped corpus, for both the legacy path and the
@@ -13,16 +13,17 @@
 //! | fingerprint | `page_fingerprint_scalar` | `page_fingerprint` (wide scan) / `pages_fingerprints` (batch) |
 //! | encode | `encode_reference` (per-call `HashMap`) | `encode_with` (reused [`EncodeScratch`]) |
 //! | apply | `apply` (allocating) | `apply_into` / `PatchRef::apply_into` (zero-copy) |
+//! | image | `build_versioned_per_tile` (every tile from its RNG) | `build_versioned` (shared tile templates), tile and mixture content |
 //!
 //! The experiment is self-checking: every optimized-path result is
 //! asserted bit-identical to its legacy counterpart on the whole
-//! corpus, and a deterministic FNV digest over all fingerprints and
-//! patch bytes is written to `<results>/microbench.digest` so CI can
-//! double-run the experiment and `diff` the digests. In full mode the
-//! speedup gates (≥1.5× fingerprint p50, ≥1.3× encode+apply pair) are
-//! asserted too; quick mode only reports them, since smoke machines
-//! are noisy. Per-op p50s are appended to `perf_history.jsonl` as
-//! `microbench/<op>` records.
+//! corpus, and a deterministic FNV digest over all fingerprints, patch
+//! bytes and image bytes is written to `<results>/microbench.digest` so
+//! CI can double-run the experiment and `diff` the digests. In full
+//! mode the speedup gates (≥1.5× fingerprint p50, ≥1.3× encode+apply
+//! pair, ≥2× image build per page) are asserted too; quick mode only
+//! reports them, since smoke machines are noisy. Per-op p50/p95/p99 are
+//! appended to `perf_history.jsonl` as `microbench/<op>` records.
 
 use crate::common::ExpConfig;
 use crate::perf_history;
@@ -36,9 +37,11 @@ use medes_hash::sample::{
     page_fingerprint, page_fingerprint_scalar, pages_fingerprints, FingerprintConfig,
     PageFingerprint,
 };
-use medes_mem::{FunctionSpec, ImageBuilder};
+use medes_mem::{ContentModel, ContentModelConfig, FunctionSpec, ImageBuilder, TileTemplates};
 use medes_obs::json::{Json, JsonMap};
 use medes_sim::DetRng;
+use medes_trace::functionbench_suite;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Percentile summary of one op's samples, nanoseconds.
@@ -154,6 +157,69 @@ fn digest_patches(patches: &[Patch]) -> u64 {
     acc
 }
 
+/// The image corpus: the first FunctionBench functions at the
+/// benchmark's `mem_scale` of 512, built by builders sharing one
+/// template store, as on a platform.
+fn image_builders(mixture: ContentModelConfig) -> Vec<ImageBuilder> {
+    let templates = Arc::new(TileTemplates::new(ContentModel {
+        mixture,
+        ..ContentModel::default()
+    }));
+    functionbench_suite()
+        .iter()
+        .take(4)
+        .map(|p| {
+            let libs: Vec<&str> = p.libs.iter().map(String::as_str).collect();
+            ImageBuilder::new(FunctionSpec::new(&p.name, p.memory_bytes, &libs))
+                .with_templates(Arc::clone(&templates))
+                .with_scale(512)
+        })
+        .collect()
+}
+
+/// Builds every image of the corpus both ways, asserts them
+/// byte-identical, and returns a digest of their bytes and their total
+/// page count. Warms the template store as a side effect.
+fn check_images(builders: &[ImageBuilder], seeds: u64) -> (u64, usize) {
+    let mut acc = 0xD16E_5702u64;
+    let mut pages = 0;
+    for (f, b) in builders.iter().enumerate() {
+        for seed in 0..seeds {
+            let version = seed % 3;
+            let fast = b.build_versioned(seed, version);
+            let oracle = b.build_versioned_per_tile(seed, version);
+            assert_eq!(fast.page_count(), b.page_count(), "closed-form page count");
+            for (i, page) in fast.pages() {
+                assert!(
+                    page == oracle.page(i),
+                    "templated build diverged: fn {f} seed {seed} page {i}"
+                );
+                acc = fold(acc, page);
+            }
+            pages += fast.page_count();
+        }
+    }
+    (acc, pages)
+}
+
+/// Times `build` over the corpus, one image per sample, per page.
+fn measure_images(
+    builders: &[ImageBuilder],
+    samples: usize,
+    build: impl Fn(&ImageBuilder, u64) -> usize,
+) -> OpStats {
+    let mut ns = Vec::with_capacity(samples);
+    let mut sink = 0usize;
+    for i in 0..samples {
+        let b = &builders[i % builders.len()];
+        let t0 = Instant::now();
+        sink = sink.wrapping_add(build(b, 1000 + i as u64));
+        ns.push(t0.elapsed().as_nanos() as f64 / b.page_count() as f64);
+    }
+    std::hint::black_box(sink);
+    OpStats::from_samples(ns)
+}
+
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> Report {
     let mut report = Report::new("microbench", "hot-path op latency (p50/p95/p99 per op)");
@@ -206,11 +272,20 @@ pub fn run(cfg: &ExpConfig) -> Report {
         assert_eq!(out, *target, "PatchRef::apply_into diverged");
         patches.push(fast);
     }
-    report.line("equality gates: wide==scalar, batch==single, scratch==reference, into==alloc ok");
+    let tile_images = image_builders(ContentModelConfig::disabled());
+    let mixture_images = image_builders(ContentModelConfig::paper_calibrated());
+    let check_seeds = if cfg.quick { 3 } else { 8 };
+    let (tile_digest, image_pages) = check_images(&tile_images, check_seeds);
+    let (mixture_digest, _) = check_images(&mixture_images, check_seeds);
+    report.line(&format!(
+        "equality gates: wide==scalar, batch==single, scratch==reference, into==alloc, \
+         templated==per-tile image ({image_pages} pages per content model) ok"
+    ));
 
     // --- Determinism digest (for the CI double-run diff).
     let fp_digest = digest_fingerprints(&wide_fps);
     let patch_digest = digest_patches(&patches);
+    let image_digest = tile_digest.rotate_left(1) ^ mixture_digest;
 
     // --- Timed sections.
     let samples = if cfg.quick { 300 } else { 3000 };
@@ -258,7 +333,20 @@ pub fn run(cfg: &ExpConfig) -> Report {
         out.len() as u64
     });
 
-    let ops: [(&str, OpStats); 8] = [
+    // Image builds: one sample = one image, reported per page.
+    let image_samples = if cfg.quick { 40 } else { 400 };
+    let per_tile = |b: &ImageBuilder, seed| b.build_versioned_per_tile(seed, 0).page_count();
+    let templated = |b: &ImageBuilder, seed| b.build_versioned(seed, 0).page_count();
+    let image_per_tile = measure_images(&tile_images, image_samples, per_tile);
+    let image_templated = measure_images(&tile_images, image_samples, templated);
+    let mixture_per_tile = measure_images(&mixture_images, image_samples, per_tile);
+    let mixture_templated = measure_images(&mixture_images, image_samples, templated);
+
+    let ops: [(&str, OpStats); 12] = [
+        ("image/per-tile", image_per_tile),
+        ("image/templated", image_templated),
+        ("image-mixture/per-tile", mixture_per_tile),
+        ("image-mixture/templated", mixture_templated),
         ("fingerprint/scalar", fp_scalar),
         ("fingerprint/wide", fp_wide),
         ("fingerprint/batch", fp_batch),
@@ -269,7 +357,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         ("apply/ref-into", apply_ref),
     ];
     let us = |ns: f64| f(ns / 1000.0, 3);
-    report.section("per-op latency (us)");
+    report.section("per-op latency (us; image ops per page)");
     report.table(
         &["op", "p50", "p95", "p99", "samples"],
         &ops.iter()
@@ -289,7 +377,14 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let fp_speedup = fp_scalar.p50 / fp_wide.p50;
     let pair_speedup =
         (enc_reference.p50 + apply_alloc.p50) / (enc_scratch.p50 + apply_into_stats.p50);
-    report.section("speedups vs pre-PR path (p50)");
+    let image_speedup = image_per_tile.p50 / image_templated.p50;
+    let mixture_speedup = mixture_per_tile.p50 / mixture_templated.p50;
+    report.section("speedups vs the reference path (p50)");
+    report.line(&format!(
+        "image build: {}x tile, {}x mixture (gate >= 2x)",
+        f(image_speedup, 2),
+        f(mixture_speedup, 2)
+    ));
     report.line(&format!(
         "fingerprint scan: {}x (gate >= 1.5x)",
         f(fp_speedup, 2)
@@ -307,9 +402,16 @@ pub fn run(cfg: &ExpConfig) -> Report {
             pair_speedup >= 1.3,
             "encode+apply speedup gate failed: {pair_speedup:.2}x < 1.3x"
         );
+        for (content, speedup) in [("tile", image_speedup), ("mixture", mixture_speedup)] {
+            assert!(
+                speedup >= 2.0,
+                "{content} image build speedup gate failed: {speedup:.2}x < 2x"
+            );
+        }
     }
     report.line(&format!(
-        "determinism digest: fingerprints {fp_digest:016x}, patches {patch_digest:016x}"
+        "determinism digest: fingerprints {fp_digest:016x}, patches {patch_digest:016x}, \
+         images {image_digest:016x}"
     ));
 
     // --- Artifacts: JSON record, digest file, per-op perf history.
@@ -331,8 +433,13 @@ pub fn run(cfg: &ExpConfig) -> Report {
         Json::from(format!("{fp_digest:016x}")),
     );
     report.json_set("patch_digest", Json::from(format!("{patch_digest:016x}")));
+    report.json_set("image_speedup_p50", Json::from(image_speedup));
+    report.json_set("image_mixture_speedup_p50", Json::from(mixture_speedup));
+    report.json_set("image_digest", Json::from(format!("{image_digest:016x}")));
     let digest_path = cfg.results_dir.join("microbench.digest");
-    let digest_body = format!("fingerprints {fp_digest:016x}\npatches {patch_digest:016x}\n");
+    let digest_body = format!(
+        "fingerprints {fp_digest:016x}\npatches {patch_digest:016x}\nimages {image_digest:016x}\n"
+    );
     if let Err(e) = std::fs::create_dir_all(&cfg.results_dir)
         .and_then(|()| std::fs::write(&digest_path, &digest_body))
     {
@@ -344,7 +451,11 @@ pub fn run(cfg: &ExpConfig) -> Report {
             &perf_history::PerfRecord {
                 experiment: format!("microbench/{name}"),
                 quick: cfg.quick,
-                wall_s: s.p50 / 1e9,
+                timing: perf_history::PerfTiming::Op {
+                    p50_s: s.p50 / 1e9,
+                    p95_s: s.p95 / 1e9,
+                    p99_s: s.p99 / 1e9,
+                },
                 peak_rss_bytes: perf_history::peak_rss_bytes(),
             },
         );

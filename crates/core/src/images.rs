@@ -1,13 +1,17 @@
-//! The image factory: deterministic regeneration + caching.
+//! The image factory: deterministic builds + base-image caching.
 //!
 //! Sandbox memory images are pure functions of `(function, instance
-//! seed)`, so the platform holds real bytes only where the system
-//! semantically requires residency: **base sandbox images** (pinned, the
-//! registry points into them) are cached here; everything else is
-//! regenerated on demand.
+//! seed, version)`, so the platform holds real bytes only where the
+//! system semantically requires residency: **base sandbox images**
+//! (pinned, the registry points into them) are cached here. Every other
+//! image is built when a dedup scan or restore needs its bytes, from
+//! one [`TileTemplates`] store shared by all functions: each stream's
+//! instance-invariant tiles are synthesized on its first use and copied
+//! afterwards, so a build pays only for per-instance content. Page
+//! counts are closed-form, so spawning a sandbox builds nothing.
 
 use crate::ids::FnId;
-use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage};
+use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage, TileTemplates};
 use medes_trace::FunctionProfile;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,11 +20,19 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ImageFactory {
     builders: Vec<ImageBuilder>,
+    /// The tile templates every builder shares.
+    templates: Arc<TileTemplates>,
     /// Pinned images (base sandboxes): key = (function, instance seed,
     /// code version). Rolling deploys give distinct versions distinct
     /// content, so the version participates in identity.
     pinned: HashMap<(usize, u64, u64), Arc<MemoryImage>>,
 }
+
+// The shared template store must not make the factory thread-bound.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ImageFactory>()
+};
 
 impl ImageFactory {
     /// Creates a factory for the given function profiles.
@@ -30,19 +42,22 @@ impl ImageFactory {
         aslr: AslrConfig,
         mem_scale: usize,
     ) -> Self {
+        // Templates are synthesized lazily, on each stream's first build.
+        let templates = Arc::new(TileTemplates::new(model));
         let builders = profiles
             .iter()
             .map(|p| {
                 let libs: Vec<&str> = p.libs.iter().map(|s| s.as_str()).collect();
                 let spec = FunctionSpec::new(&p.name, p.memory_bytes, &libs);
                 ImageBuilder::new(spec)
-                    .with_model(model.clone())
+                    .with_templates(Arc::clone(&templates))
                     .with_aslr(aslr)
                     .with_scale(mem_scale)
             })
             .collect();
         ImageFactory {
             builders,
+            templates,
             pinned: HashMap::new(),
         }
     }
@@ -69,11 +84,22 @@ impl ImageFactory {
         Arc::new(self.builders[func.0].build_versioned(instance_seed, version))
     }
 
-    /// Model-scale page count of a function's image (layout jitter keeps
-    /// the page count constant, so any instance is representative).
+    /// Model-scale page count of a function's image. Region sizes depend
+    /// only on the spec and the scale, so nothing is built.
     pub fn model_pages(&self, func: FnId) -> usize {
-        // Sizes depend only on the spec, not the instance.
-        self.builders[func.0].build(0).page_count()
+        self.builders[func.0].page_count()
+    }
+
+    /// Drops the tile templates of every code version `keep` rejects.
+    /// Images of those versions stay buildable, at full synthesis cost.
+    pub fn retain_template_versions(&self, keep: impl FnMut(u64) -> bool) {
+        self.templates.retain_versions(keep);
+    }
+
+    /// Heap bytes held by the shared tile templates.
+    #[cfg(test)]
+    pub fn template_bytes(&self) -> usize {
+        self.templates.bytes()
     }
 
     /// Pins a base sandbox's image (version 0) so the registry can
@@ -161,6 +187,50 @@ mod tests {
         assert!(!Arc::ptr_eq(&pinned, &v0_again));
         f.unpin_v(FnId(0), 7, 1);
         assert_eq!(f.pinned_count(), 0);
+    }
+
+    #[test]
+    fn closed_form_page_count_matches_built_images() {
+        let suite = functionbench_suite();
+        for mixture in [
+            medes_mem::ContentModelConfig::disabled(),
+            medes_mem::ContentModelConfig::paper_calibrated(),
+        ] {
+            let model = ContentModel {
+                mixture,
+                ..ContentModel::default()
+            };
+            for scale in [32, 64, 256, 512] {
+                let f = ImageFactory::new(&suite, model.clone(), AslrConfig::DISABLED, scale);
+                for (func, profile) in suite.iter().enumerate() {
+                    for version in [0, 2] {
+                        let built = f.image_v(FnId(func), 11, version).page_count();
+                        assert_eq!(
+                            f.model_pages(FnId(func)),
+                            built,
+                            "{} at scale {scale} v{version}",
+                            profile.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn functions_share_runtime_templates() {
+        let f = factory();
+        f.image(FnId(0), 1);
+        let one = f.template_bytes();
+        assert!(one > 0, "a build fills the template store");
+        f.image(FnId(0), 2);
+        assert_eq!(f.template_bytes(), one, "a second instance adds nothing");
+        f.image(FnId(1), 1);
+        let image_bytes = f.model_pages(FnId(1)) * medes_mem::PAGE_SIZE;
+        assert!(
+            f.template_bytes() - one < image_bytes,
+            "the runtime template is reused, so a second function adds less than its image"
+        );
     }
 
     #[test]

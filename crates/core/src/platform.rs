@@ -76,6 +76,24 @@ impl Platform {
     /// memory limit (such a function could never be scheduled and its
     /// requests would retry forever).
     pub fn run(&self, trace: &Trace) -> RunOutcome {
+        let mut sim = self.simulation(trace);
+        sim.run();
+        let end = sim.now();
+        let cluster = sim.into_world();
+        let obs = Arc::clone(&cluster.obs);
+        let report = cluster.finish(end);
+        match obs.write_trace() {
+            Ok(Some(path)) => eprintln!("[obs] wrote {}", path.display()),
+            Ok(None) => {}
+            Err(e) => eprintln!("warning: failed to write obs trace: {e}"),
+        }
+        let slo = obs.slo_summary();
+        RunOutcome { report, obs, slo }
+    }
+
+    /// A fresh cluster with the trace's arrivals and every scheduled
+    /// fault and deploy queued, ready to run.
+    fn simulation(&self, trace: &Trace) -> Simulation<Cluster> {
         assert_eq!(
             trace.functions.len(),
             self.profiles.len(),
@@ -92,7 +110,7 @@ impl Platform {
             );
         }
         let horizon = trace.duration();
-        let mut cluster = Cluster::new(self.cfg.clone(), self.profiles.clone(), horizon);
+        let cluster = Cluster::new(self.cfg.clone(), self.profiles.clone(), horizon);
         let mut sim = Simulation::new(cluster);
         for inv in &trace.invocations {
             sim.schedule(
@@ -130,18 +148,7 @@ impl Platform {
                 },
             );
         }
-        sim.run();
-        let end = sim.now();
-        cluster = sim.into_world();
-        let obs = Arc::clone(&cluster.obs);
-        let report = cluster.finish(end);
-        match obs.write_trace() {
-            Ok(Some(path)) => eprintln!("[obs] wrote {}", path.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: failed to write obs trace: {e}"),
-        }
-        let slo = obs.slo_summary();
-        RunOutcome { report, obs, slo }
+        sim
     }
 }
 
@@ -560,6 +567,7 @@ impl Cluster {
         };
         let img = self.factory.pin_v(func, seed, version);
         index_base_sandbox(&self.cfg, &self.registry, node, id, &img);
+        self.obs.incr("medes.platform.base_demarcations");
         self.bases.insert(id, (func, img));
         self.fns[func.0].bases.push(id);
         self.sandboxes.get_mut(&id).expect("exists").is_base = true;
@@ -736,6 +744,15 @@ impl Cluster {
             self.metrics.report.version_purges += 1;
             self.obs.incr("medes.platform.version_purges");
         }
+        // Only deployed versions and those of live sandboxes are ever
+        // built again: drop every other version's tile templates.
+        let live: BTreeSet<u64> = self
+            .fn_version
+            .iter()
+            .copied()
+            .chain(self.sandboxes.values().map(|sb| sb.version))
+            .collect();
+        self.factory.retain_template_versions(|v| live.contains(&v));
     }
 
     /// The §5.2 SLO bound for one function: `α · s_W` microseconds
@@ -2128,6 +2145,42 @@ mod tests {
         assert_eq!(deployed, replay, "deploy runs must replay bit-identically");
     }
 
+    /// Every deploy version fills its own tile templates; a deploy drops
+    /// the versions nothing can build any more, so a deploy-heavy run's
+    /// store stays near a single version's, not one set per version.
+    #[test]
+    fn deploys_drop_dead_version_templates() {
+        let (suite, trace) = small_trace(600, 10.0);
+        let mut cfg = PlatformConfig::small_test();
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.idle_period = SimDuration::from_secs(5);
+        }
+        let store_bytes = |cfg: PlatformConfig| {
+            let platform = Platform::new(cfg, suite.clone());
+            let mut sim = platform.simulation(&trace);
+            sim.run();
+            sim.world().factory.template_bytes()
+        };
+        let single = store_bytes(cfg.clone());
+        assert!(single > 0, "dedup scans build images");
+        cfg.deploys = medes_trace::DeploySchedule {
+            bumps: (1..=5u64)
+                .flat_map(|v| {
+                    (0..suite.len()).map(move |f| medes_trace::VersionBump {
+                        function: f,
+                        at: SimTime::from_secs(100 * v),
+                        version: v,
+                    })
+                })
+                .collect(),
+        };
+        let deployed = store_bytes(cfg);
+        assert!(
+            deployed <= 2 * single,
+            "six versions hold {deployed} template bytes, one holds {single}"
+        );
+    }
+
     /// Heterogeneous node memories: the run respects each node's own
     /// limit and the per-node free-memory accounting uses the profile.
     #[test]
@@ -2164,6 +2217,37 @@ mod tests {
         cfg.node_mem_profile = vec![cfg.node_mem_bytes; cfg.nodes];
         let explicit = Platform::new(cfg, suite).run(&trace).report;
         assert_eq!(base, explicit);
+    }
+
+    #[test]
+    fn base_demarcations_are_counted() {
+        let (suite, trace) = small_trace(120, 10.0);
+        let mut cfg = PlatformConfig::small_test();
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.idle_period = SimDuration::from_secs(5);
+        }
+        let plain = Platform::new(cfg.clone(), suite.clone()).run(&trace).report;
+        cfg.obs = medes_obs::ObsConfig::enabled();
+        let platform = Platform::new(cfg, suite);
+        assert_eq!(
+            platform.run(&trace).report,
+            plain,
+            "the counter must not perturb the run"
+        );
+        // Until the trace ends nothing has idled for the 10 min
+        // keep-alive, so every base demarcated so far is still alive.
+        let mut sim = platform.simulation(&trace);
+        sim.run_until(trace.duration());
+        let cluster = sim.world();
+        let report = &cluster.metrics.report;
+        assert_eq!((report.evictions, report.expirations), (0, 0));
+        assert_eq!(report.node_crashes + report.version_bumps, 0);
+        let alive = cluster.bases.len() as u64;
+        assert!(alive > 0, "the run must demarcate bases");
+        assert_eq!(
+            cluster.obs.counter("medes.platform.base_demarcations"),
+            alive
+        );
     }
 
     /// Releasing more memory than a node holds is an accounting bug:

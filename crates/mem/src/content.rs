@@ -431,15 +431,30 @@ impl ContentModel {
         region_base: u64,
         region_len: u64,
     ) {
+        self.pointer_slots(stream_seed, idx, region_len, |at, offset| {
+            out[at..at + 8].copy_from_slice(&region_base.wrapping_add(offset).to_le_bytes());
+        });
+    }
+
+    /// Visits the pointer words planted in shared tile `idx` of a
+    /// `region_len`-byte region: `visit(byte_in_tile, offset)` for each,
+    /// where the pointer's value is `region_base + offset`. Slot
+    /// positions and offsets never depend on the region base, so a
+    /// template can store them once and relocate them per instance.
+    pub fn pointer_slots(
+        &self,
+        stream_seed: u64,
+        idx: u64,
+        region_len: u64,
+        mut visit: impl FnMut(usize, u64),
+    ) {
         if self.ptr_per_word <= 0.0 || region_len == 0 {
             return;
         }
         let mut rng = DetRng::new(mix(mix(stream_seed, PTR_SALT), idx));
-        let words = out.len() / 8;
-        for w in 0..words {
+        for w in 0..self.tile_size / 8 {
             if rng.chance(self.ptr_per_word) {
-                let target = region_base + rng.below(region_len);
-                out[w * 8..w * 8 + 8].copy_from_slice(&target.to_le_bytes());
+                visit(w * 8, rng.below(region_len));
             } else {
                 // Burn the draw so slot positions stay aligned across
                 // instances (the rng consumption must not depend on the

@@ -3,7 +3,13 @@
 //! [`ImageBuilder`] turns a [`FunctionSpec`] into a concrete
 //! [`MemoryImage`] for a given instance seed. Images are pure functions
 //! of `(spec, model, aslr, scale, instance_seed)`, so the platform can
-//! regenerate a warm sandbox's bytes on demand instead of holding them.
+//! rebuild a warm sandbox's bytes on demand instead of holding them.
+//!
+//! A build copies each region's instance-invariant tiles from the
+//! builder's [`TileTemplates`] store and synthesizes only what is per
+//! instance: unique tiles, heap inserts, noise, pointer relocation and
+//! the stack rotation. Builders that share a store (every builder of
+//! one platform) synthesize the runtime and each library once.
 //!
 //! ## Scale
 //!
@@ -17,6 +23,8 @@ use crate::content::{mix_seed, ContentModel, TileKind};
 use crate::page::{page_align, PAGE_SIZE};
 use crate::region::{Region, RegionKind};
 use crate::spec::{FunctionSpec, LibraryId};
+use crate::template::{TemplateKey, TileTemplates};
+use std::sync::Arc;
 
 const LAYOUT_SALT: u64 = 0x1A_0001;
 const CANON_SALT: u64 = 0x1A_0002;
@@ -28,9 +36,26 @@ const FILEMAP_SALT: u64 = 0x1A_0005;
 #[derive(Debug, Clone)]
 pub struct ImageBuilder {
     spec: FunctionSpec,
-    model: ContentModel,
+    /// Template store; its model is this builder's content model.
+    templates: Arc<TileTemplates>,
     aslr: AslrConfig,
     scale_denom: usize,
+}
+
+/// One region of an image, before any bytes exist.
+struct RegionPlan<'a> {
+    kind: RegionKind,
+    name: &'a str,
+    stream: u64,
+    size: usize,
+}
+
+/// A run of consecutive tile slots holding stream tiles
+/// `first..first + len`, or `len` instance-unique inserted tiles.
+struct TileRun {
+    first: u64,
+    len: usize,
+    forced_unique: bool,
 }
 
 impl ImageBuilder {
@@ -39,15 +64,16 @@ impl ImageBuilder {
     pub fn new(spec: FunctionSpec) -> Self {
         ImageBuilder {
             spec,
-            model: ContentModel::default(),
+            templates: Arc::new(TileTemplates::new(ContentModel::default())),
             aslr: AslrConfig::DISABLED,
             scale_denom: 1,
         }
     }
 
-    /// Replaces the content model.
-    pub fn with_model(mut self, model: ContentModel) -> Self {
-        self.model = model;
+    /// Shares `templates` — and its content model — with other builders,
+    /// so streams they have in common are synthesized once.
+    pub fn with_templates(mut self, templates: Arc<TileTemplates>) -> Self {
+        self.templates = templates;
         self
     }
 
@@ -68,13 +94,64 @@ impl ImageBuilder {
         &self.spec
     }
 
+    fn model(&self) -> &ContentModel {
+        self.templates.model()
+    }
+
     /// The scale denominator.
     pub fn scale_denom(&self) -> usize {
         self.scale_denom
     }
 
     fn scaled(&self, paper_bytes: usize) -> usize {
-        page_align((paper_bytes / self.scale_denom).max(self.model.tile_size))
+        page_align((paper_bytes / self.scale_denom).max(self.model().tile_size))
+    }
+
+    /// The image's regions in address order: the runtime and each
+    /// library on streams keyed by library identity, then the file
+    /// mappings, heap and stack on the function's own streams.
+    fn plan(&self) -> impl Iterator<Item = RegionPlan<'_>> {
+        const RUNTIME: &str = "python-runtime";
+        let libs = std::iter::once(RUNTIME)
+            .chain(self.spec.libs.iter().map(|l| l.0.as_str()))
+            .map(move |name| {
+                let lib = LibraryId::new(name);
+                RegionPlan {
+                    kind: if name == RUNTIME {
+                        RegionKind::Runtime
+                    } else {
+                        RegionKind::Library
+                    },
+                    name,
+                    stream: lib.seed(),
+                    size: self.scaled(lib.catalog_bytes()),
+                }
+            });
+
+        let anon = self.spec.anon_bytes();
+        let stack_paper = (anon / 10).clamp(PAGE_SIZE, 256 << 10);
+        let filemap_paper = anon * 15 / 100;
+        let heap_paper = anon
+            .saturating_sub(stack_paper + filemap_paper)
+            .max(PAGE_SIZE);
+        let own = |kind, name, salt, paper_bytes| RegionPlan {
+            kind,
+            name,
+            stream: mix_seed(self.spec.seed(), salt),
+            size: self.scaled(paper_bytes),
+        };
+        libs.chain([
+            own(RegionKind::FileMap, "filemap", FILEMAP_SALT, filemap_paper),
+            own(RegionKind::Heap, "heap", HEAP_SALT, heap_paper),
+            own(RegionKind::Stack, "stack", STACK_SALT, stack_paper),
+        ])
+    }
+
+    /// Pages of every image this builder makes. Region sizes depend
+    /// only on the spec and the scale, never on the instance or the
+    /// version, so no bytes are synthesized.
+    pub fn page_count(&self) -> usize {
+        self.plan().map(|r| r.size).sum::<usize>() / PAGE_SIZE
     }
 
     /// Materializes the image for `instance_seed`.
@@ -87,184 +164,180 @@ impl ImageBuilder {
     /// version remaps `ContentModelConfig::version_mutation_frac` of
     /// each stream's shared/medium tiles per epoch (rolling deploys).
     pub fn build_versioned(&self, instance_seed: u64, version: u64) -> MemoryImage {
-        let mut regions = Vec::new();
+        self.assemble(instance_seed, |plan, runs, data, va_base| {
+            self.paint_templated(plan, runs, data, va_base, instance_seed, version)
+        })
+    }
 
-        // Runtime + libraries: shared streams keyed by library identity.
-        let runtime = LibraryId::new("python-runtime");
-        for lib in std::iter::once(&runtime).chain(self.spec.libs.iter()) {
-            let kind = if lib.0 == "python-runtime" {
-                RegionKind::Runtime
-            } else {
-                RegionKind::Library
-            };
-            let stream = lib.seed();
-            let size = self.scaled(lib.catalog_bytes());
-            regions.push(self.build_region(
-                kind,
-                &lib.0,
-                stream,
-                canonical_base(stream),
-                size,
-                instance_seed,
-                Layout::Direct,
-                version,
-            ));
-        }
+    /// [`ImageBuilder::build_versioned`] synthesizing every tile from
+    /// scratch instead of copying templates. This is the reference
+    /// oracle the template path is tested and benchmarked against; the
+    /// platform never calls it.
+    #[doc(hidden)]
+    pub fn build_versioned_per_tile(&self, instance_seed: u64, version: u64) -> MemoryImage {
+        let m = self.model();
+        self.assemble(instance_seed, |plan, runs, data, va_base| {
+            let tiles = runs
+                .iter()
+                .flat_map(|r| (r.first..r.first + r.len as u64).map(move |i| (i, r.forced_unique)));
+            for ((tile_idx, forced_unique), out) in tiles.zip(data.chunks_exact_mut(m.tile_size)) {
+                let tk = if forced_unique {
+                    TileKind::Unique
+                } else {
+                    let allow = crate::template::allows_unique(plan.kind);
+                    m.tile_kind_region(plan.stream, tile_idx, plan.kind, allow)
+                };
+                m.fill_tile_v(
+                    out,
+                    tk,
+                    plan.stream,
+                    tile_idx,
+                    instance_seed,
+                    va_base,
+                    plan.size as u64,
+                    version,
+                );
+            }
+        })
+    }
 
-        // Anonymous memory: file mappings, heap, stack.
-        let anon = self.spec.anon_bytes();
-        let stack_paper = (anon / 10).clamp(PAGE_SIZE, 256 << 10);
-        let filemap_paper = anon * 15 / 100;
-        let heap_paper = anon
-            .saturating_sub(stack_paper + filemap_paper)
-            .max(PAGE_SIZE);
-
-        let fm_stream = mix_seed(self.spec.seed(), FILEMAP_SALT);
-        regions.push(self.build_region(
-            RegionKind::FileMap,
-            "filemap",
-            fm_stream,
-            canonical_base(fm_stream),
-            self.scaled(filemap_paper),
-            instance_seed,
-            Layout::Direct,
-            version,
-        ));
-
-        let heap_stream = mix_seed(self.spec.seed(), HEAP_SALT);
-        regions.push(self.build_region(
-            RegionKind::Heap,
-            "heap",
-            heap_stream,
-            canonical_base(heap_stream),
-            self.scaled(heap_paper),
-            instance_seed,
-            Layout::Jittered,
-            version,
-        ));
-
-        let stack_stream = mix_seed(self.spec.seed(), STACK_SALT);
-        let mut stack = self.build_region(
-            RegionKind::Stack,
-            "stack",
-            stack_stream,
-            canonical_base(stack_stream),
-            self.scaled(stack_paper),
-            instance_seed,
-            Layout::Direct,
-            version,
-        );
-        let shift = self.aslr.stack_shift(stack_stream, instance_seed);
-        rotate_content(&mut stack.data, shift);
-        regions.push(stack);
-
+    /// Builds every region of the plan: `paint` fills the tile slots,
+    /// then the per-instance overlays are applied — clustered noise,
+    /// dispersed noise (mixture only) and the stack's ASLR rotation.
+    fn assemble(
+        &self,
+        instance_seed: u64,
+        mut paint: impl FnMut(&RegionPlan<'_>, &[TileRun], &mut [u8], u64),
+    ) -> MemoryImage {
+        let m = self.model();
+        let regions = self
+            .plan()
+            .map(|plan| {
+                let canonical = canonical_base(plan.stream);
+                let va_base = self.aslr.region_base(canonical, plan.stream, instance_seed);
+                let runs = self.tile_runs(&plan, instance_seed);
+                let mut data = vec![0u8; plan.size];
+                paint(&plan, &runs, &mut data, va_base);
+                m.apply_noise(&mut data, plan.stream, instance_seed);
+                if m.mixture.enabled {
+                    let rate = m.mixture.mix_for(plan.kind).dispersed_noise;
+                    m.apply_dispersed_noise(&mut data, plan.stream, instance_seed, rate);
+                }
+                if plan.kind == RegionKind::Stack {
+                    let shift = self.aslr.stack_shift(plan.stream, instance_seed);
+                    rotate_content(&mut data, shift);
+                }
+                Region {
+                    kind: plan.kind,
+                    name: plan.name.to_string(),
+                    va_base,
+                    data,
+                }
+            })
+            .collect();
         MemoryImage::new(regions)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_region(
+    /// Fills a region's tile slots from its stream template.
+    fn paint_templated(
         &self,
-        kind: RegionKind,
-        name: &str,
-        stream_seed: u64,
-        canonical_base: u64,
-        size: usize,
+        plan: &RegionPlan<'_>,
+        runs: &[TileRun],
+        data: &mut [u8],
+        va_base: u64,
         instance_seed: u64,
-        layout: Layout,
         version: u64,
-    ) -> Region {
-        let m = &self.model;
-        let va_base = self
-            .aslr
-            .region_base(canonical_base, stream_seed, instance_seed);
-        let n_tiles = size / m.tile_size;
-        let mut data = vec![0u8; size];
-
-        // Tile index sequence: direct, or per-instance jittered (heap).
-        // Heap jitter is page-granular: big allocations are mmap-backed,
-        // so allocation-order divergence inserts/skips whole pages —
-        // shifting content by page multiples without breaking chunk
-        // alignment inside pages (what the §2 measurement observes).
-        let tiles_per_page = PAGE_SIZE / m.tile_size;
-        let mut jitter =
-            JitterRng::new(mix_seed(stream_seed, mix_seed(instance_seed, LAYOUT_SALT)));
-        let mut seq: Vec<(u64, bool)> = Vec::with_capacity(n_tiles);
-        match layout {
-            Layout::Direct => seq.extend((0..n_tiles as u64).map(|i| (i, false))),
-            Layout::Jittered => {
-                let mut shared_page = 0u64;
-                let mut own_page = 0u64;
-                while seq.len() < n_tiles {
-                    let u = jitter.next_f64();
-                    if u < m.heap_insert_prob {
-                        // Inserted instance-unique allocation (one page).
-                        for t in 0..tiles_per_page as u64 {
-                            seq.push(((1u64 << 40) + own_page * tiles_per_page as u64 + t, true));
-                        }
-                    } else {
-                        if u < m.heap_insert_prob + m.heap_skip_prob {
-                            shared_page += 1; // this instance skipped a page
-                        }
-                        for t in 0..tiles_per_page as u64 {
-                            seq.push((shared_page * tiles_per_page as u64 + t, false));
-                        }
-                        shared_page += 1;
-                    }
-                    own_page += 1;
-                }
-                seq.truncate(n_tiles);
-            }
-        }
-        for (slot, &(tile_idx, forced_unique)) in seq.iter().enumerate() {
-            // Unique tiles only make sense in writable anonymous memory;
-            // file-backed regions are byte-identical in every process.
-            let allow_unique = matches!(kind, RegionKind::Heap | RegionKind::Stack);
-            let tk = if forced_unique {
-                TileKind::Unique
-            } else {
-                m.tile_kind_region(stream_seed, tile_idx, kind, allow_unique)
-            };
-            let out = &mut data[slot * m.tile_size..(slot + 1) * m.tile_size];
+    ) {
+        let m = self.model();
+        let ts = m.tile_size;
+        let key = TemplateKey {
+            stream: plan.stream,
+            kind: plan.kind,
+            size: plan.size,
+            version,
+        };
+        let highest = runs
+            .iter()
+            .filter(|r| !r.forced_unique)
+            .map(|r| r.first as usize + r.len)
+            .max()
+            .unwrap_or(0);
+        let template = self.templates.get(key, highest);
+        let mut unique = |out: &mut [u8], idx: u64| {
             m.fill_tile_v(
                 out,
-                tk,
-                stream_seed,
-                tile_idx,
+                TileKind::Unique,
+                plan.stream,
+                idx,
                 instance_seed,
                 va_base,
-                size as u64,
+                plan.size as u64,
                 version,
-            );
-        }
-
-        m.apply_noise(&mut data, stream_seed, instance_seed);
-        if m.mixture.enabled {
-            m.apply_dispersed_noise(
-                &mut data,
-                stream_seed,
-                instance_seed,
-                m.mixture.mix_for(kind).dispersed_noise,
-            );
-        }
-
-        Region {
-            kind,
-            name: name.to_string(),
-            va_base,
-            data,
+            )
+        };
+        let mut slot = 0usize;
+        for run in runs {
+            let out = &mut data[slot * ts..(slot + run.len) * ts];
+            if run.forced_unique {
+                for (t, tile) in out.chunks_exact_mut(ts).enumerate() {
+                    unique(tile, run.first + t as u64);
+                }
+            } else {
+                template.paint(out, ts, run.first as usize, va_base, &mut unique);
+            }
+            slot += run.len;
         }
     }
-}
 
-/// How tile indices map to slots within a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layout {
-    /// Slot `i` holds tile `i` — file-backed mappings, identical layout
-    /// across instances.
-    Direct,
-    /// Per-instance insert/skip jitter — heap allocation-order
-    /// divergence, which breaks page alignment across instances.
-    Jittered,
+    /// The region's tile slots as runs. File-backed regions and the
+    /// stack are one direct run (slot `i` holds tile `i`, the same
+    /// layout in every instance). The heap's pages are jittered per
+    /// instance — allocation-order divergence, which breaks page
+    /// alignment across instances. The jitter is page-granular: big
+    /// allocations are mmap-backed, so divergence inserts/skips whole
+    /// pages, shifting content by page multiples without breaking chunk
+    /// alignment inside pages (what the §2 measurement observes).
+    fn tile_runs(&self, plan: &RegionPlan<'_>, instance_seed: u64) -> Vec<TileRun> {
+        let m = self.model();
+        let n_tiles = plan.size / m.tile_size;
+        if plan.kind != RegionKind::Heap {
+            return vec![TileRun {
+                first: 0,
+                len: n_tiles,
+                forced_unique: false,
+            }];
+        }
+        let tiles_per_page = PAGE_SIZE / m.tile_size;
+        let mut jitter =
+            JitterRng::new(mix_seed(plan.stream, mix_seed(instance_seed, LAYOUT_SALT)));
+        let mut runs = Vec::new();
+        let (mut shared_page, mut own_page, mut filled) = (0u64, 0u64, 0usize);
+        while filled < n_tiles {
+            let u = jitter.next_f64();
+            let len = tiles_per_page.min(n_tiles - filled);
+            if u < m.heap_insert_prob {
+                // Inserted instance-unique allocation (one page).
+                runs.push(TileRun {
+                    first: (1u64 << 40) + own_page * tiles_per_page as u64,
+                    len,
+                    forced_unique: true,
+                });
+            } else {
+                if u < m.heap_insert_prob + m.heap_skip_prob {
+                    shared_page += 1; // this instance skipped a page
+                }
+                runs.push(TileRun {
+                    first: shared_page * tiles_per_page as u64,
+                    len,
+                    forced_unique: false,
+                });
+                shared_page += 1;
+            }
+            own_page += 1;
+            filled += len;
+        }
+        runs
+    }
 }
 
 /// Heap layout jitter needs only uniform draws; a tiny dedicated LCG-ish
@@ -443,10 +516,10 @@ mod tests {
         };
         let f1 = ImageBuilder::new(FunctionSpec::new("F1", 4 << 20, &["numpy"]))
             .with_scale(16)
-            .with_model(m.clone());
+            .with_templates(Arc::new(TileTemplates::new(m.clone())));
         let f2 = ImageBuilder::new(FunctionSpec::new("F2", 6 << 20, &["numpy"]))
             .with_scale(16)
-            .with_model(m);
+            .with_templates(Arc::new(TileTemplates::new(m)));
         let i1 = f1.build(10);
         let i2 = f2.build(20);
         let numpy1 = i1.regions().iter().find(|r| r.name == "numpy").unwrap();
@@ -498,10 +571,10 @@ mod tests {
             crate::content::ContentModelConfig::disabled(),
             crate::content::ContentModelConfig::paper_calibrated(),
         ] {
-            let b = builder().with_model(ContentModel {
+            let b = builder().with_templates(Arc::new(TileTemplates::new(ContentModel {
                 mixture,
                 ..ContentModel::default()
-            });
+            })));
             let a = b.build(9);
             let v0 = b.build_versioned(9, 0);
             assert_eq!(a.page_count(), v0.page_count());
@@ -535,10 +608,10 @@ mod tests {
     #[test]
     fn mixture_reduces_cross_instance_identity() {
         let plain = builder();
-        let mixed = builder().with_model(ContentModel {
+        let mixed = builder().with_templates(Arc::new(TileTemplates::new(ContentModel {
             mixture: crate::content::ContentModelConfig::paper_calibrated(),
             ..ContentModel::default()
-        });
+        })));
         let identical = |a: &MemoryImage, b: &MemoryImage| {
             (0..a.page_count())
                 .filter(|&i| a.page(i) == b.page(i))
@@ -551,6 +624,92 @@ mod tests {
             m < p,
             "dispersed noise must lower the identical-page fraction: {m} vs {p}"
         );
+    }
+
+    fn assert_same_image(a: &MemoryImage, b: &MemoryImage, what: &str) {
+        assert_eq!(a.page_count(), b.page_count(), "{what}");
+        for (ra, rb) in a.regions().iter().zip(b.regions()) {
+            assert_eq!(
+                (ra.kind, &ra.name, ra.va_base),
+                (rb.kind, &rb.name, rb.va_base)
+            );
+            assert!(ra.data == rb.data, "{what}: region {} differs", ra.name);
+        }
+    }
+
+    #[test]
+    fn page_count_is_closed_form() {
+        for scale in [16, 64, 512] {
+            let b = ImageBuilder::new(spec()).with_scale(scale);
+            assert_eq!(b.page_count(), b.build(3).page_count(), "scale {scale}");
+            assert_eq!(b.page_count(), b.build_versioned(3, 2).page_count());
+        }
+    }
+
+    #[test]
+    fn templated_builds_match_the_per_tile_oracle() {
+        let mut rng = medes_sim::DetRng::new(0x7E3A_97A7E);
+        for mixture in [
+            crate::content::ContentModelConfig::disabled(),
+            crate::content::ContentModelConfig::paper_calibrated(),
+        ] {
+            let model = ContentModel {
+                mixture,
+                ..ContentModel::default()
+            };
+            for aslr in [AslrConfig::DISABLED, AslrConfig::LINUX] {
+                // One store for several builders, as in a platform.
+                let store = Arc::new(TileTemplates::new(model.clone()));
+                let builders = [
+                    builder().with_templates(Arc::clone(&store)).with_aslr(aslr),
+                    ImageBuilder::new(FunctionSpec::new("Other", 12 << 20, &["json", "numpy"]))
+                        .with_scale(16)
+                        .with_templates(Arc::clone(&store))
+                        .with_aslr(aslr),
+                ];
+                for version in 0..4 {
+                    for b in &builders {
+                        let seed = rng.next_u64();
+                        let what = format!("{} seed {seed} v{version}", b.spec().name);
+                        assert_same_image(
+                            &b.build_versioned(seed, version),
+                            &b.build_versioned_per_tile(seed, version),
+                            &what,
+                        );
+                    }
+                }
+                assert!(store.bytes() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn heap_template_grows_past_its_first_size() {
+        let b = builder();
+        let heap_plan = || b.plan().find(|r| r.kind == RegionKind::Heap).unwrap();
+        let highest = |seed| {
+            b.tile_runs(&heap_plan(), seed)
+                .iter()
+                .filter(|r| !r.forced_unique)
+                .map(|r| r.first as usize + r.len)
+                .max()
+                .unwrap()
+        };
+        let first = highest(1);
+        b.build(1);
+        let bytes = b.templates.bytes();
+        // Find an instance whose jittered layout asks for more tiles.
+        let seed = (2..200u64)
+            .find(|&s| highest(s) > first)
+            .expect("some layout overruns the first template");
+        assert_same_image(
+            &b.build(seed),
+            &b.build_versioned_per_tile(seed, 0),
+            "overrun",
+        );
+        assert!(b.templates.bytes() > bytes, "the heap template must grow");
+        // Earlier instances still rebuild identically from the grown one.
+        assert_same_image(&b.build(1), &b.build_versioned_per_tile(1, 0), "regrown");
     }
 
     #[test]

@@ -42,8 +42,11 @@
 //! `DESIGN.md` §13.
 //!
 //! Everything is a pure function of `(spec, instance_seed, config)` —
-//! images can be regenerated at will, so the platform never needs to
-//! retain warm sandboxes' bytes.
+//! images can be rebuilt at will, so the platform never needs to retain
+//! warm sandboxes' bytes. The instance-invariant part (pattern, shared
+//! and medium tiles, pointer slots) is synthesized once per stream into
+//! a [`template::TileTemplates`] store; a build copies it and adds only
+//! the per-instance content.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,6 +58,7 @@ pub mod page;
 pub mod redundancy;
 pub mod region;
 pub mod spec;
+pub mod template;
 
 pub use aslr::AslrConfig;
 pub use content::{ContentModel, ContentModelConfig, RegionMix, TileKind};
@@ -62,3 +66,4 @@ pub use image::{ImageBuilder, MemoryImage};
 pub use page::PAGE_SIZE;
 pub use redundancy::{redundancy, RedundancyReport};
 pub use spec::{FunctionSpec, LibraryId};
+pub use template::TileTemplates;

@@ -36,6 +36,13 @@ pub fn seed_from_bytes(bytes: &[u8]) -> u64 {
     splitmix64_next(&mut s)
 }
 
+/// Lemire's acceptance test for the low word `lo` of `x * n`: reject
+/// exactly the `2^64 mod n` low words that would bias the high word.
+/// The threshold costs a division, so it is computed only when `lo < n`.
+fn lemire_accept(lo: u64, n: u64) -> bool {
+    lo >= n || lo >= n.wrapping_neg() % n
+}
+
 /// A deterministic xoshiro256\*\* generator.
 ///
 /// # Examples
@@ -113,8 +120,7 @@ impl DetRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(n as u128);
-            let lo = m as u64;
-            if lo >= n || lo >= lo.wrapping_neg() % n {
+            if lemire_accept(m as u64, n) {
                 return (m >> 64) as u64;
             }
         }
@@ -312,6 +318,26 @@ mod tests {
                 "bucket count {c} out of range"
             );
         }
+    }
+
+    #[test]
+    fn lemire_rejects_exactly_the_biased_low_words() {
+        // 2^64 mod n low words must be rejected, the rest accepted.
+        for n in [1u64, 2, 3, 7, 10, 8, 1 << 40, (1 << 63) + 1, u64::MAX] {
+            let biased = ((1u128 << 64) % n as u128) as u64;
+            if biased > 0 {
+                assert!(!lemire_accept(0, n), "n={n} lo=0");
+                assert!(!lemire_accept(biased - 1, n), "n={n} lo={}", biased - 1);
+            }
+            assert!(lemire_accept(biased, n), "n={n} lo={biased}");
+            assert!(lemire_accept(n - 1, n), "n={n} lo=n-1");
+            assert!(lemire_accept(n, n));
+            assert!(lemire_accept(u64::MAX, n));
+        }
+        // Where the threshold is not `lo.wrapping_neg() % n`.
+        assert!(!lemire_accept(5, 10), "2^64 mod 10 = 6 rejects lo = 5");
+        assert!(!lemire_accept((1 << 63) - 2, (1 << 63) + 1));
+        assert!(lemire_accept((1 << 63) - 1, (1 << 63) + 1));
     }
 
     #[test]
